@@ -2,7 +2,7 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-NAME is one of horn_chase, horn_rewrite, alc_answer, classify, or ``all``,
+NAME is one of horn, alc_answer, classify, or ``all``,
 which runs every workload untraced and then traced.  Run it from the root
 of a checkout; it builds nothing and imports ``omq`` from ``src``.
 
@@ -26,17 +26,19 @@ import sys
 import time
 from pathlib import Path
 
+from worker import CALIBRATE_REF_MS as REFERENCE_MS
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("horn_chase", "horn_rewrite", "alc_answer", "classify")
-SETUP_PROBES = 8       # plus the measuring worker: nine set-up samples
+WORKLOADS = ("horn", "alc_answer", "classify")
+SETUP_PROBES = 6       # plus the measuring worker: seven set-up samples
 DEADLINE_S = 170       # a run must end within 180 s
 
-END_TO_END = {         # name -> unit
+END_TO_END = {         # name -> unit; ref_* are scaled to the reference speed
     "setup_s": "s",
-    "op_ms_p50": "ms",
-    "op_ms_tail": "ms",
-    "ops_per_s": "1/s",
+    "ref_op_ms_p50": "ms",
+    "ref_op_ms_tail": "ms",
+    "ref_ops_per_s": "1/s",
     "peak_rss_mb": "MB",
 }
 
@@ -99,6 +101,11 @@ def report(result):
     line("op_ms_tail", result["op_ms_tail"], "ms",
          f"p{result['tail_pct']:.1f} of {result['attempted']} ops")
     line("ops_per_s", result["ops_per_s"], "1/s")
+    line("calibrate_ms", result["calibrate_ms"], "ms",
+         f"median of {result['calibrations']}; reference {REFERENCE_MS} ms")
+    line("ref_op_ms_p50", result["ref_op_ms_p50"], "ms", "at the reference speed")
+    line("ref_op_ms_tail", result["ref_op_ms_tail"], "ms", "at the reference speed")
+    line("ref_ops_per_s", result["ref_ops_per_s"], "1/s", "at the reference speed")
     line("failed_frac", result["failed_frac"], "ratio",
          f"{result['failed']} of {result['attempted']} {result['failure_kinds'] or ''}")
     if "rewrite_rules" in result["notes"]:

@@ -5,7 +5,8 @@
 Checks that the same seed makes the same inputs, that the traced run puts
 every wrapped ``omq`` attribute back, that a planted wrong reference trips
 the answer gate, that per op the spans' self times sum to the op's wall
-time, and that ``BENCHMARK.json`` names exactly the metrics the benchmark
+time, that the calibration behind the reference speed runs no ``omq``
+code, and that ``BENCHMARK.json`` names exactly the metrics the benchmark
 reports.  Exits with status 1 if any check fails.
 """
 
@@ -38,8 +39,7 @@ def small_inputs(name, seed=7):
     w = workloads.WORKLOADS[name]
     inputs = w.load(w.generate(seed))
     keep = {
-        "horn_chase": lambda i: i.key in inputs.checked,
-        "horn_rewrite": lambda i: "#0" in i.key,
+        "horn": lambda i: i.key.endswith("chain50#0"),
         "alc_answer": lambda i: i.key.startswith(("2p2/random4", "kcolor/path20")),
         "classify": lambda i: i.key in ("or", "cover", "kcolor2", "horn_cycle"),
     }[name]
@@ -77,13 +77,9 @@ def test_tracer_restores_every_binding():
 
 def test_wrong_reference_trips_gate():
     plants = {
-        # the chase reference of horn_rewrite answers "every individual"
-        "horn_rewrite": lambda w, inputs: setattr(
-            workloads, "_chase_answers",
-            lambda omq, abox, inds: (None, inds)),
-        # the rewriting reference of horn_chase belongs to another OMQ
-        "horn_chase": lambda w, inputs: inputs.rewritings.update(
-            {o.name: omq.datalog.build_rewriting(*_other_omq(o)) for o in workloads._load_omqs()}),
+        # the rewritings belong to the next OMQ's query
+        "horn": lambda w, inputs: setattr(inputs, "programs", [
+            omq.datalog.build_rewriting(*_other_omq(o)) for o in inputs.omqs]),
         # brute force says no formula is satisfiable
         "alc_answer": lambda w, inputs: setattr(
             workloads.analysis, "brute_2p2_satisfiable", lambda formula: False),
@@ -91,7 +87,7 @@ def test_wrong_reference_trips_gate():
         "classify": lambda w, inputs: inputs.expected.update(
             {"horn_cycle": {"verdict": workloads.CONP}}),
     }
-    saved = (workloads._chase_answers, workloads.analysis.brute_2p2_satisfiable)
+    saved = workloads.analysis.brute_2p2_satisfiable
     for name, plant in plants.items():
         w, inputs = small_inputs(name)
         records = worker.run_loop(w, inputs, 0)
@@ -99,9 +95,11 @@ def test_wrong_reference_trips_gate():
         assert not good, f"{name}: {good}"
         try:
             plant(w, inputs)
+            if name == "horn":    # the planted rewritings must answer the ops
+                records = worker.run_loop(w, inputs, 0)
             bad, _ = worker.check_answers(w, inputs, records)
         finally:
-            workloads._chase_answers, workloads.analysis.brute_2p2_satisfiable = saved
+            workloads.analysis.brute_2p2_satisfiable = saved
         assert bad, f"{name}: the planted reference passed the gate"
     # the gate: a wrong answer means exit status 1 and no metrics line
     wrong = {"correct": False, "mismatches": ["x: planted"], "workload": "classify"}
@@ -128,12 +126,24 @@ def test_self_times_sum_to_op_wall_time():
         tracer = Tracer(layers.TARGETS)
         records = worker.run_loop(w, inputs, 0, tracer)
         self_by_op = tracer.self_time_by_op()
-        traced = [r for r in records if r[4]]
+        traced = [r for r in records if r.traced]
         assert traced, name
-        for index, ms, _, _, _, op_id in traced:
-            total = 1000 * self_by_op[op_id]
-            assert abs(total - ms) <= SELF_TIME_REL_TOL * ms + SELF_TIME_ABS_TOL_MS, \
-                f"{name} op {op_id}: self times {total:.3f} ms, wall {ms:.3f} ms"
+        for r in traced:
+            total = 1000 * self_by_op[r.op_id]
+            assert abs(total - r.ms) <= SELF_TIME_REL_TOL * r.ms + SELF_TIME_ABS_TOL_MS, \
+                f"{name} op {r.op_id}: self times {total:.3f} ms, wall {r.ms:.3f} ms"
+
+
+def test_calibrate_runs_no_omq_code():
+    """The reference speed must not move when omq changes."""
+    omq_dir = str(Path(omq.__file__).resolve().parent)
+    seen = set()
+    sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code.co_filename))
+    try:
+        worker.calibrate()
+    finally:
+        sys.setprofile(None)
+    assert not [f for f in seen if f.startswith(omq_dir)], sorted(seen)
 
 
 def test_benchmark_json_names_the_reported_metrics():
