@@ -231,7 +231,8 @@ def refute_disjunction_property(tbox: TBox,
                     break
             if found is not None:
                 witness = DisjunctionViolation(abox, tuple(found))
-                assert witness.verify(tbox)
+                if not witness.verify(tbox):
+                    raise RuntimeError(f"witness fails to re-verify: {witness!r}")
                 return RefutationResult("refuted", witness, checked, budget)
     return RefutationResult("none-found", None, checked, budget)
 
@@ -262,7 +263,8 @@ def refute_unraveling_tolerance(tbox: TBox,
                 if not unraveling_entails(tbox, q, marked,
                                           template=templates[key]):
                     witness = UnravelingViolation(abox, c, a)
-                    assert witness.verify(tbox)
+                    if not witness.verify(tbox):
+                        raise RuntimeError(f"witness fails to re-verify: {witness!r}")
                     return RefutationResult("refuted", witness, checked, budget)
     return RefutationResult("none-found", None, checked, budget)
 

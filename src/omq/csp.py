@@ -2,6 +2,10 @@
 homomorphism and arc-consistency solvers, exact unraveling-entailment,
 the CSP-to-TBox encoding, and enriched signature abstraction.
 
+Homomorphisms, arc consistency and unraveling entailment all run on the
+propagation kernel of the semantics module (``hom_problem``,
+``arc_consistency``, ``find_homomorphism``).
+
 The central contract is homomorphism duality: for an ALC/ALCI TBox and a
 Boolean tree query, the certain answer holds exactly when the data's
 signature restriction has no homomorphism into the template whose points
@@ -18,7 +22,10 @@ from .syntax import (
     TBox, Top, concept_names, concept_sort_key, dialect, disjoin,
     roles_of_concept, subconcepts,
 )
-from .semantics import Interpretation, find_homomorphism, is_model
+from .semantics import (
+    Interpretation, arc_consistency, element_labels, find_homomorphism,
+    hom_problem, is_model, role_moves,
+)
 from .types import (
     closure, kb_consistent, omitting_succ_relation, types_omitting,
 )
@@ -116,29 +123,8 @@ def csp_hom(abox: ABox, template: Template) -> Optional[dict]:
 def csp_arc_consistent(abox: ABox, template: Template) -> bool:
     """Plain arc consistency: False means provably no homomorphism; True
     is only a maybe on cyclic inputs (exact on trees)."""
-    tgt = template.interpretation()
-    inds = sorted(abox.individuals())
-    labels = {a: set() for a in inds}
-    for n, a in abox.concept_assertions:
-        labels[a].add(n)
-    cand = {a: {d for d in tgt.domain
-                if all(d in tgt.concept(n) for n in labels[a])}
-            for a in inds}
-    edges = sorted(abox.role_assertions)
-    changed = True
-    while changed:
-        changed = False
-        for n, a, b in edges:
-            pairs = tgt.role_ext.get(n, frozenset())
-            keep = {d for d in cand[a] if any((d, e) in pairs for e in cand[b])}
-            if keep != cand[a]:
-                cand[a] = keep
-                changed = True
-            keep = {e for e in cand[b] if any((d, e) in pairs for d in cand[a])}
-            if keep != cand[b]:
-                cand[b] = keep
-                changed = True
-    return all(cand[a] for a in inds)
+    problem = hom_problem(Interpretation.from_abox(abox), template.interpretation())
+    return all(arc_consistency(*problem).values())
 
 
 # ---------------------------------------------------------------------------
@@ -225,78 +211,40 @@ def unraveling_entails(tbox: TBox, q, abox: ABox,
     """Decide whether the TBox and the *unraveling* of the ABox entail the
     Boolean tree query, without materializing the unraveling.
 
-    The unraveling is a forest with finitely many subtree shapes, indexed
-    by (individual, incoming role edge); candidate template values per
-    state form a greatest fixpoint of arc consistency respecting the
-    non-backtracking condition.  The query is entailed exactly when some
+    The unraveling of the signature restriction is a forest with finitely
+    many subtree shapes, indexed by (individual, incoming role edge).
+    These states are the variables of ``arc_consistency``, with one arc
+    per non-backtracking step.  The query is entailed exactly when some
     root state's candidate set empties (no homomorphism exists).
     """
     tmpl = template if template is not None else template_from_omq(tbox, q)
     if not tmpl.points:
         return True
-    sigma = tmpl.signature
     tgt = tmpl.interpretation()
-    tdom = sorted(tgt.domain)
-
-    labels = {}
-    for n, a in abox.concept_assertions:
-        if n in sigma.concept_names:
-            labels.setdefault(a, set()).add(n)
-    succ = {}
-    for n, a, b in abox.role_assertions:
-        succ.setdefault((a, Role(n)), set()).add(b)
-        succ.setdefault((b, Role(n, True)), set()).add(a)
-    roles = sorted({Role(n) for n, _, _ in abox.role_assertions} |
-                   {Role(n, True) for n, _, _ in abox.role_assertions})
-
-    def base_cand(b):
-        need = labels.get(b, ())
-        return {d for d in tdom if all(d in tgt.concept(n) for n in need)}
-
-    def transitions(state):
-        b, incoming = state
-        out = []
-        for role in roles:
-            for b2 in sorted(succ.get((b, role), ())):
-                if incoming is not None:
-                    prev_elem, prev_role = incoming
-                    if b2 == prev_elem and role == prev_role.inverse():
-                        continue  # non-backtracking condition
-                out.append((role, (b2, (b, role))))
-        return out
-
-    roots = [(a, None) for a in sorted(abox.individuals())]
+    src = Interpretation.from_abox(restrict_abox(abox, tmpl.signature))
+    base = {b: tgt.domain.intersection(*map(tgt.concept, need))
+            for b, need in element_labels(src).items()}
+    moves = {role: (role_moves(src, role), role_moves(tgt, role))
+             for n in src.role_ext for role in (Role(n), Role(n, True))}
+    roots = [(a, None) for a in src.domain]
     cand = {}
-    trans = {}
+    arcs = {}
     frontier = list(roots)
     while frontier:
         state = frontier.pop()
         if state in cand:
             continue
-        cand[state] = base_cand(state[0])
-        trans[state] = transitions(state)
-        for _, s2 in trans[state]:
-            if s2 not in cand:
-                frontier.append(s2)
-
-    def edge_ok(d, role, d2):
-        if role.name not in sigma.role_names:
-            return True
-        pairs = tgt.role_ext.get(role.name, frozenset())
-        return ((d, d2) in pairs) if not role.inverted else ((d2, d) in pairs)
-
-    changed = True
-    while changed:
-        changed = False
-        for state in sorted(cand, key=str):
-            keep = set()
-            for d in cand[state]:
-                if all(any(edge_ok(d, role, d2) for d2 in cand[s2])
-                       for role, s2 in trans[state]):
-                    keep.add(d)
-            if keep != cand[state]:
-                cand[state] = keep
-                changed = True
+        b, incoming = state
+        cand[state] = base[b]
+        arcs[state] = []
+        for role, (succ, tmoves) in moves.items():
+            for b2 in succ.get(b, ()):
+                if incoming == (b2, role.inverse()):
+                    continue  # non-backtracking condition
+                state2 = (b2, (b, role))
+                arcs[state].append((state2, tmoves))
+                frontier.append(state2)
+    cand = arc_consistency(cand, arcs)
     return any(not cand[root] for root in roots)
 
 

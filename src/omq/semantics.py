@@ -2,6 +2,13 @@
 evaluation, model checking, query matching, homomorphism and simulation
 solvers, bounded unfoldings and ABox unravelings.
 
+One propagation kernel serves every mapping question here and in the csp
+module: ``element_labels`` and ``role_moves`` index an interpretation,
+``hom_problem`` states a homomorphism question as candidate sets and
+arcs, ``arc_consistency`` refines candidate sets to their greatest
+arc-consistent subsets (AC-3), and ``_solve`` searches while keeping arc
+consistency.  Homomorphisms, simulations and CQ matches all run on it.
+
 Domain elements are arbitrary hashable values; named individuals are the
 subset of the domain interpreted under the standard name assumption (the
 same name denotes the same element across structures).  Unfoldings and
@@ -72,13 +79,6 @@ class Interpretation:
         if role.inverted:
             return frozenset((b, a) for a, b in pairs)
         return pairs
-
-    def successors(self, d, role: Role):
-        if role.inverted:
-            return sorted((a for a, b in self.role_ext.get(role.name, ()) if b == d),
-                          key=_ekey)
-        return sorted((b for a, b in self.role_ext.get(role.name, ()) if a == d),
-                      key=_ekey)
 
     def to_abox(self, mangle=None) -> ABox:
         """Forget namedness and render as an ABox; ``mangle`` maps elements
@@ -200,56 +200,17 @@ def is_model(i: Interpretation, t: TBox, abox: Optional[ABox] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 def _match_cq(i: Interpretation, q: CQ, binding: dict) -> bool:
-    # check already-ground atoms, collect constraints per variable
+    """A homomorphism from the query's variables into I that extends
+    ``binding``; an answer outside the domain never matches."""
+    cext, rext = {}, {}
     for name, v in q.concept_atoms:
-        if v in binding and binding[v] not in i.concept(name):
-            return False
+        cext.setdefault(name, set()).add(v)
     for name, x, y in q.role_atoms:
-        if x in binding and y in binding and (binding[x], binding[y]) not in \
-                i.role_ext.get(name, frozenset()):
-            return False
-    todo = sorted(q.variables() - set(binding), key=str)
-    if not todo:
-        return True
-    # most-constrained-first: order by number of atoms touching the variable
-    def weight(v):
-        w = sum(1 for _, u in q.concept_atoms if u == v)
-        w += sum(1 for _, x, y in q.role_atoms if v in (x, y))
-        return -w
-    todo.sort(key=weight)
-
-    domain = sorted(i.domain, key=_ekey)
-
-    def consistent(v, d, bnd):
-        for name, u in q.concept_atoms:
-            if u == v and d not in i.concept(name):
-                return False
-        for name, x, y in q.role_atoms:
-            pairs = i.role_ext.get(name, frozenset())
-            if x == v and y == v:
-                if (d, d) not in pairs:
-                    return False
-            elif x == v and y in bnd:
-                if (d, bnd[y]) not in pairs:
-                    return False
-            elif y == v and x in bnd:
-                if (bnd[x], d) not in pairs:
-                    return False
-        return True
-
-    def search(k, bnd):
-        if k == len(todo):
-            return True
-        v = todo[k]
-        for d in domain:
-            if consistent(v, d, bnd):
-                bnd[v] = d
-                if search(k + 1, bnd):
-                    return True
-                del bnd[v]
-        return False
-
-    return search(0, dict(binding))
+        rext.setdefault(name, set()).add((x, y))
+    cand, arcs = hom_problem(Interpretation.of(q.variables(), (), cext, rext), i)
+    for v, d in binding.items():
+        cand[v] = cand[v] & {d}
+    return _solve(cand, arcs) is not None
 
 
 def _match_peq(i: Interpretation, f, binding: dict) -> bool:
@@ -297,8 +258,135 @@ def match_query(i: Interpretation, q: Query, answers: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Homomorphisms
+# The propagation kernel: homomorphisms and simulations
 # ---------------------------------------------------------------------------
+
+_NO_MOVES = frozenset()
+
+
+def element_labels(i: Interpretation) -> dict:
+    """Each domain element's set of concept names."""
+    labels = {d: set() for d in i.domain}
+    for name, ds in i.concept_ext.items():
+        for d in ds:
+            if d in labels:
+                labels[d].add(name)
+    return labels
+
+
+def role_moves(i: Interpretation, role: Role) -> dict:
+    """Each element's set of role-successors; an inverse role walks the
+    edges of its role name backwards."""
+    moves = {}
+    for a, b in i.role_ext.get(role.name, ()):
+        if role.inverted:
+            a, b = b, a
+        moves.setdefault(a, set()).add(b)
+    return moves
+
+
+def _problem(s: Interpretation, g: Interpretation, inverse: bool) -> tuple:
+    """Candidate sets and arcs for mapping S into G: each source element
+    may take the target elements that carry its concept names, and each
+    source edge is an arc from its start, and with ``inverse`` also one
+    from its end."""
+    cand = {d: g.domain.intersection(*map(g.concept, need))
+            for d, need in element_labels(s).items()}
+    arcs = {d: [] for d in s.domain}
+    for name, pairs in s.role_ext.items():
+        forward = role_moves(g, Role(name))
+        backward = role_moves(g, Role(name, True)) if inverse else None
+        for a, b in pairs:
+            arcs[a].append((b, forward))
+            if inverse:
+                arcs[b].append((a, backward))
+    return cand, arcs
+
+
+def hom_problem(s: Interpretation, g: Interpretation, preserve: Iterable = ()) -> tuple:
+    """The homomorphism problem from S to G as ``(cand, arcs)`` for
+    ``arc_consistency``: every source edge gives an arc in both directions,
+    and an element of ``preserve`` may only map to itself."""
+    cand, arcs = _problem(s, g, inverse=True)
+    for d in preserve:
+        cand[d] = cand[d] & {d}
+    return cand, arcs
+
+
+def _watchers(arcs: dict) -> dict:
+    """For each variable, the variables that have an arc into it."""
+    watch = {}
+    for x, out in arcs.items():
+        for y, _moves in out:
+            watch.setdefault(y, set()).add(x)
+    return watch
+
+
+def _propagate(cand: dict, arcs: dict, watch: dict, queue) -> dict:
+    """AC-3 worklist: revise the variables in ``queue`` and, whenever a
+    variable loses values, every variable watching it.  Refines ``cand``
+    in place by replacing its sets, never mutating them, so that a shallow
+    copy of ``cand`` is a snapshot."""
+    queue = list(queue)
+    queued = set(queue)
+    while queue:
+        x = queue.pop()
+        queued.discard(x)
+        old = keep = cand[x]
+        for y, moves in arcs[x]:
+            ys = cand[y]
+            keep = {d for d in keep if not moves.get(d, _NO_MOVES).isdisjoint(ys)}
+            if not keep:
+                break
+        if len(keep) < len(old):
+            cand[x] = keep
+            for w in watch.get(x, ()):
+                if w not in queued:
+                    queued.add(w)
+                    queue.append(w)
+    return cand
+
+
+def arc_consistency(cand: dict, arcs: dict) -> dict:
+    """The greatest refinement of the candidate sets ``cand`` (variable ->
+    set of values) in which each value d of a variable x has, for each arc
+    ``(y, moves)`` in ``arcs[x]``, a candidate of y in ``moves[d]``
+    (AC-3, Mackworth 1977).  The given sets are left unchanged."""
+    return _propagate(dict(cand), arcs, _watchers(arcs), cand)
+
+
+def _branches(cand: dict, arcs: dict, watch: dict, x):
+    """The children of a search node: x fixed to each of its values."""
+    for d in sorted(cand[x], key=_ekey):
+        trial = dict(cand)
+        trial[x] = {d}
+        yield _propagate(trial, arcs, watch, watch.get(x, ()))
+
+
+def _solve(cand: dict, arcs: dict) -> Optional[dict]:
+    """One candidate per variable such that every arc holds, or None.
+
+    Depth-first search that keeps arc consistency: it branches on the open
+    variable with the fewest candidates, ties broken by ``_ekey``, and
+    tries its values in ``_ekey`` order.  Once every set is a singleton,
+    arc consistency makes the values a solution.
+    """
+    watch = _watchers(arcs)
+    stack = [iter([_propagate(dict(cand), arcs, watch, cand)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        if not all(node.values()):
+            continue
+        open_vars = [x for x, values in node.items() if len(values) > 1]
+        if not open_vars:
+            return {x: next(iter(values)) for x, values in node.items()}
+        x = min(open_vars, key=lambda v: (len(node[v]), _ekey(v)))
+        stack.append(_branches(node, arcs, watch, x))
+    return None
+
 
 def _hom_ok(s: Interpretation, g: Interpretation, h: dict) -> bool:
     for name, ds in s.concept_ext.items():
@@ -319,164 +407,33 @@ def find_homomorphism(s: Interpretation, g: Interpretation,
     """A map preserving concept memberships and role edges, fixing
     ``preserve`` pointwise; None when provably absent.
 
-    Backtracking over source elements ordered by degree, with an
-    arc-consistency pre-pruning pass over the candidate sets.
+    ``_solve`` on ``hom_problem``.
     """
     preserve = set(preserve)
     if not preserve <= s.named:
         raise ValueError("preserve must be a subset of the source's named individuals")
-    # unary candidate sets
-    labels = {d: set() for d in s.domain}
-    for name, ds in s.concept_ext.items():
-        for d in ds:
-            labels[d].add(name)
-    glabels = {d: set() for d in g.domain}
-    for name, ds in g.concept_ext.items():
-        for d in ds:
-            if d in glabels:
-                glabels[d].add(name)
-    cand = {}
-    for d in s.domain:
-        if d in preserve:
-            if d not in g.domain or not labels[d] <= glabels.get(d, set()):
-                return None
-            cand[d] = [d]
-        else:
-            cand[d] = sorted((e for e in g.domain if labels[d] <= glabels[e]), key=_ekey)
-            if not cand[d]:
-                return None
+    h = _solve(*hom_problem(s, g, preserve))
+    if h is not None and not _hom_ok(s, g, h):
+        raise RuntimeError("the homomorphism search returned a map that "
+                           "is not a homomorphism")
+    return h
 
-    edges = []
-    for name, pairs in s.role_ext.items():
-        gpairs = g.role_ext.get(name, frozenset())
-        succ_by = {}
-        pred_by = {}
-        for a, b in gpairs:
-            succ_by.setdefault(a, set()).add(b)
-            pred_by.setdefault(b, set()).add(a)
-        for a, b in pairs:
-            edges.append((a, b, succ_by, pred_by))
-
-    # arc consistency
-    changed = True
-    while changed:
-        changed = False
-        for a, b, succ_by, pred_by in edges:
-            keep = [d for d in cand[a] if any(e in succ_by.get(d, ()) for e in cand[b])]
-            if len(keep) != len(cand[a]):
-                cand[a] = keep
-                changed = True
-                if not keep:
-                    return None
-            keep = [e for e in cand[b] if any(d in pred_by.get(e, ()) for d in cand[a])]
-            if len(keep) != len(cand[b]):
-                cand[b] = keep
-                changed = True
-                if not keep:
-                    return None
-
-    degree = {d: 0 for d in s.domain}
-    for name, pairs in s.role_ext.items():
-        for a, b in pairs:
-            degree[a] += 1
-            degree[b] += 1
-    order = sorted(s.domain, key=lambda d: (-degree[d], len(cand[d]), _ekey(d)))
-
-    adj = {}
-    for name, pairs in s.role_ext.items():
-        gpairs = g.role_ext.get(name, frozenset())
-        for a, b in pairs:
-            adj.setdefault(a, []).append((b, gpairs, True))
-            adj.setdefault(b, []).append((a, gpairs, False))
-
-    h = {}
-
-    def consistent(d, val):
-        for other, gpairs, forward in adj.get(d, ()):
-            if other in h:
-                pair = (val, h[other]) if forward else (h[other], val)
-                if pair not in gpairs:
-                    return False
-            if other == d:
-                pair = (val, val) if forward else (val, val)
-                if pair not in gpairs:
-                    return False
-        return True
-
-    def search(k):
-        if k == len(order):
-            return True
-        d = order[k]
-        for val in cand[d]:
-            if consistent(d, val):
-                h[d] = val
-                if search(k + 1):
-                    return True
-                del h[d]
-        return False
-
-    if not search(0):
-        return None
-    assert _hom_ok(s, g, h)
-    return dict(h)
-
-
-# ---------------------------------------------------------------------------
-# Simulations
-# ---------------------------------------------------------------------------
 
 def find_simulation(s: Interpretation, g: Interpretation,
                     variant: str = "plain") -> Optional[frozenset]:
     """The greatest (i-)simulation containing (a, a) for every named
     individual of the source, or None when no simulation exists.
 
-    Greatest-fixpoint refinement: start from the concept-compatible full
-    relation and drop pairs whose role obligations lack a matching move.
+    The greatest simulation is the arc-consistent refinement of the
+    concept-compatible relation, with one arc per source edge along role
+    names (and along their inverses for the i-variant).
     """
     if variant not in ("plain", "i"):
         raise ValueError("variant must be 'plain' or 'i'")
-    slabels = {d: set() for d in s.domain}
-    for name, ds in s.concept_ext.items():
-        for d in ds:
-            slabels[d].add(name)
-    glabels = {d: set() for d in g.domain}
-    for name, ds in g.concept_ext.items():
-        for d in ds:
-            if d in glabels:
-                glabels[d].add(name)
-
-    rel = {(d, e) for d in s.domain for e in g.domain if slabels[d] <= glabels[e]}
-
-    roles = sorted({Role(n) for n in s.role_ext} |
-                   ({Role(n, True) for n in s.role_ext} if variant == "i" else set()))
-    moves_s = {}
-    moves_g = {}
-    for role in roles:
-        for d, d2 in s.role(role):
-            moves_s.setdefault((d, role), set()).add(d2)
-        for e, e2 in g.role(role):
-            moves_g.setdefault((e, role), set()).add(e2)
-
-    changed = True
-    while changed:
-        changed = False
-        for (d, e) in sorted(rel, key=lambda p: (_ekey(p[0]), _ekey(p[1]))):
-            ok = True
-            for role in roles:
-                for d2 in moves_s.get((d, role), ()):
-                    targets = moves_g.get((e, role), set())
-                    if not any((d2, e2) in rel for e2 in targets):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                rel.discard((d, e))
-                changed = True
-    for a in s.named:
-        if a not in g.named or (a, a) not in rel:
-            return None
-    return frozenset(rel)
+    sim = arc_consistency(*_problem(s, g, inverse=variant == "i"))
+    if not all(a in g.named and a in sim[a] for a in s.named):
+        return None
+    return frozenset((d, e) for d, es in sim.items() for e in es)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +459,7 @@ def unfold(i: Interpretation, depth: int, variant: str = "i") -> Interpretation:
         raise ValueError("variant must be 'plain' or 'i'")
     roles = sorted({Role(n) for n in i.role_ext} |
                    ({Role(n, True) for n in i.role_ext} if variant == "i" else set()))
+    moves = {role: role_moves(i, role) for role in roles}
     words = [d for d in sorted(i.named, key=_ekey)]
     frontier = list(words)
     edges = set()  # (word, Role, word), role as stored edge direction d -r-> e
@@ -513,7 +471,7 @@ def unfold(i: Interpretation, depth: int, variant: str = "i") -> Interpretation:
             if isinstance(w, tuple) and len(w) >= 3:
                 prev = (w[-3], w[-2])  # (element, role used to reach tail)
             for role in roles:
-                for e in i.successors(d, role):
+                for e in sorted(moves[role].get(d, ()), key=_ekey):
                     if e in i.named:
                         continue  # words pass through anonymous elements only
                     if variant == "i" and prev is not None:

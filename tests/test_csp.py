@@ -16,7 +16,7 @@ from omq.csp import (
     tbox_from_template, template_entails_marker, template_from_omq,
     unraveling_entails,
 )
-from omq.analysis import abox_isomorphic, gen_cycle_abox
+from omq.analysis import abox_isomorphic, gen_cycle_abox, gen_kcolor_tbox
 from omq.chase import horn_entails_eliq
 
 from genutil import rand_abox, rand_eli_concept, rand_horn_tbox
@@ -202,6 +202,19 @@ def test_homdual_against_chase_on_horn():
 
 
 # -- booleanize ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 21, 22, 121])
+def test_kcolor_csp_route_agrees_with_tableau(n):
+    # an odd cycle has a monochromatic edge somewhere, but a model can put
+    # it away from a0; colouring a0 and a1 alike puts it at a0
+    tbox = gen_kcolor_tbox(2)
+    cycle = gen_cycle_abox(n, symmetric=True)
+    coloured = ABox(frozenset({("A1", "a0"), ("A1", "a1")}), cycle.role_assertions)
+    m = Atom("M")
+    for abox, expected in ((cycle, False), (coloured, True)):
+        assert certain_answer_eliq_csp(tbox, abox, m, "a0") == expected
+        assert entails_eliq(tbox, abox, m, "a0") == expected
+
 
 def test_booleanize_rejects_unknown_individual():
     with pytest.raises(ValueError):

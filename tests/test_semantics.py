@@ -128,6 +128,18 @@ def test_cyclic_cq_on_acyclic():
     assert match_query(j, q, ())
 
 
+def test_eliq_and_its_cq_match_alike_random():
+    # eval_concept and the CQ's homomorphism search agree, also on an answer
+    # outside the domain
+    rng = random.Random(21)
+    for _ in range(200):
+        i = rand_interpretation(rng, size=4)
+        c = rng.choice([Top(), rand_eli_concept(rng, depth=3)])
+        eliq = ELIQ(c, "x")
+        for a in sorted(i.domain) + ["outside"]:
+            assert match_query(i, eliq, (a,)) == match_query(i, eliq_to_cq(eliq), (a,))
+
+
 # -- find_homomorphism ------------------------------------------------------
 
 def test_hom_identity():
@@ -184,6 +196,58 @@ def test_simulation_monotone_under_extension():
         extra["r"] = extra.get("r", frozenset()) | {(d, d) for d in i.domain}
         j = Interpretation(i.domain, i.named, i.concept_ext, extra)
         assert find_simulation(i, j) is not None
+
+
+def greatest_simulation_reference(s, g, variant):
+    """Oracle: refine the concept-compatible relation pair by pair until
+    every pair's role obligations have a matching move."""
+    slabels = {d: set() for d in s.domain}
+    for name, ds in s.concept_ext.items():
+        for d in ds:
+            slabels[d].add(name)
+    glabels = {d: set() for d in g.domain}
+    for name, ds in g.concept_ext.items():
+        for d in ds:
+            if d in glabels:
+                glabels[d].add(name)
+    rel = {(d, e) for d in s.domain for e in g.domain if slabels[d] <= glabels[e]}
+    roles = sorted({Role(n) for n in s.role_ext} |
+                   ({Role(n, True) for n in s.role_ext} if variant == "i" else set()))
+    moves_s = {}
+    moves_g = {}
+    for role in roles:
+        for d, d2 in s.role(role):
+            moves_s.setdefault((d, role), set()).add(d2)
+        for e, e2 in g.role(role):
+            moves_g.setdefault((e, role), set()).add(e2)
+    changed = True
+    while changed:
+        changed = False
+        for d, e in sorted(rel):
+            if not all(any((d2, e2) in rel for e2 in moves_g.get((e, role), ()))
+                       for role in roles for d2 in moves_s.get((d, role), ())):
+                rel.discard((d, e))
+                changed = True
+    for a in s.named:
+        if a not in g.named or (a, a) not in rel:
+            return None
+    return frozenset(rel)
+
+
+def test_simulation_is_greatest_random():
+    rng = random.Random(12)
+    found = 0
+    for _ in range(300):
+        src = rand_interpretation(rng, size=4, named_fraction=rng.random())
+        tgt = rand_interpretation(rng, size=4, named_fraction=rng.random())
+        if rng.random() < 0.5:
+            tgt = Interpretation(tgt.domain | src.domain, tgt.named | src.named,
+                                 tgt.concept_ext, tgt.role_ext)
+        for variant in ("plain", "i"):
+            got = find_simulation(src, tgt, variant)
+            assert got == greatest_simulation_reference(src, tgt, variant)
+            found += got is not None
+    assert found > 50
 
 
 def ex5b_loop_model():
