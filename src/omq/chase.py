@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .syntax import (
@@ -95,16 +96,25 @@ class _Structure:
 
     def __init__(self, labels, edges, bottom, pair_blocking=False):
         self.labels = labels   # individual -> set/frozenset of concepts
-        self.edges = edges     # set of (role name, x, y)
+        self.edges = set()     # of (role name, x, y)
+        self.adj = {}          # x -> {(role, y)}: y is a role-successor of x
         self.bottom = bottom
         self.pair_blocking = pair_blocking
+        for e in edges:
+            self.add_edge(e)
+
+    def add_edge(self, e) -> bool:
+        """Adds the edge (role name, x, y); False if it was there."""
+        if e in self.edges:
+            return False
+        n, a, b = e
+        self.edges.add(e)
+        self.adj.setdefault(a, set()).add((Role(n), b))
+        self.adj.setdefault(b, set()).add((Role(n, True), a))
+        return True
 
     def successors(self, x, role: Role):
-        if role.inverted:
-            return sorted((a for n, a, b in self.edges
-                           if n == role.name and b == x), key=_ind_key)
-        return sorted((b for n, a, b in self.edges
-                       if n == role.name and a == x), key=_ind_key)
+        return sorted((y for r, y in self.adj.get(x, ()) if r == role), key=_ind_key)
 
     def blocker_of(self, x):
         """The nearest strict ancestor qualifying as a blocker, if any."""
@@ -128,21 +138,15 @@ class _Structure:
 
     def child_edges(self, x):
         """Tree-child edges of x: (role, child) with child = x.(role,C)."""
-        out = []
-        for n, a, b in self.edges:
-            if a == x and isinstance(b, ChaseInd) and b.path and \
-                    b.parent() == x and not b.path[-1][0].inverted:
-                out.append((Role(n), b))
-            if b == x and isinstance(a, ChaseInd) and a.path and \
-                    a.parent() == x and a.path[-1][0].inverted:
-                out.append((Role(n, True), a))
-        return sorted(set(out), key=lambda p: (p[0], _ind_key(p[1])))
+        out = [(r, y) for r, y in self.adj.get(x, ())
+               if isinstance(y, ChaseInd) and y.path and y.parent() == x
+               and y.path[-1][0].inverted == r.inverted]
+        return sorted(out, key=lambda p: (p[0], _ind_key(p[1])))
 
     def virtual_edges(self, x):
         """Outgoing edges of x in the virtual completed ABox: x's own
         edges, plus the blocker's child edges when x is blocked."""
-        out = [(Role(n), b) for n, a, b in self.edges if a == x]
-        out += [(Role(n, True), a) for n, a, b in self.edges if b == x]
+        out = list(self.adj.get(x, ()))
         blocker = self.blocker_of(x)
         if blocker is not None:
             out.extend(self.child_edges(blocker))
@@ -180,7 +184,7 @@ def syntactic_match(state, concept: Concept, x, follow_blockers: bool = False) -
     """
     if not is_eliu_bot(concept):
         raise ValueError("syntactic match is defined for ELIU-bottom concepts only")
-    return state._structure().match(concept, x, follow_blockers)
+    return state._structure.match(concept, x, follow_blockers)
 
 
 @dataclass
@@ -199,6 +203,7 @@ class Completion:
     bottom: bool
     trace: tuple = ()
 
+    @cached_property
     def _structure(self) -> _Structure:
         return _Structure(self.labels, self.edges, self.bottom,
                           pair_blocking=bool(self.tbox.functional))
@@ -231,7 +236,7 @@ class Completion:
     def unrolled_interpretation(self, extra_depth: int) -> Interpretation:
         """Materialize the virtual completed ABox, unrolling blocked loops
         to tree depth (deepest real node + extra_depth)."""
-        s = self._structure()
+        s = self._structure
         max_real = max((len(x.path) for x in self.labels if isinstance(x, ChaseInd)),
                        default=0)
         limit = max_real + extra_depth
@@ -307,43 +312,42 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         labels.setdefault(a, set()).add(Atom(name))
     for a in abox.individuals():
         labels.setdefault(a, set())
-    edges = set(abox.role_assertions)
-    struct = _Structure(labels, edges, False, pair_blocking=bool(functional))
+    struct = _Structure(labels, abox.role_assertions, False, pair_blocking=bool(functional))
+    assertions = sum(len(v) for v in labels.values()) + len(struct.edges)
     rng = random.Random(order_seed) if order_seed is not None else None
     trace = []
     bottom = False
     truncated = False
 
     def add_concept(x, c, rule, premise):
-        nonlocal bottom
-        if c not in labels[x]:
-            labels[x].add(c)
-            if keep_trace:
-                trace.append((rule, premise, f"{print_concept(c)}({_mangle(x)})"))
-            if isinstance(c, Bot):
-                bottom = True
-                struct.bottom = True
-            # complementary literals clash: the right-hand grammar admits
-            # negated names, and A with not A is as inconsistent as bot
-            elif isinstance(c, Not) and isinstance(c.sub, Atom) and c.sub in labels[x]:
-                labels[x].add(Bot())
-                bottom = True
-                struct.bottom = True
-            elif isinstance(c, Atom) and Not(c) in labels[x]:
-                labels[x].add(Bot())
-                bottom = True
-                struct.bottom = True
-            return True
-        return False
+        nonlocal bottom, assertions
+        label = labels[x]
+        if c in label:
+            return False
+        label.add(c)
+        assertions += 1
+        if keep_trace:
+            trace.append((rule, premise, f"{print_concept(c)}({_mangle(x)})"))
+        # complementary literals clash: the right-hand grammar admits
+        # negated names, and A with not A is as inconsistent as bot
+        if isinstance(c, Bot) or \
+                (isinstance(c, Not) and isinstance(c.sub, Atom) and c.sub in label) or \
+                (isinstance(c, Atom) and Not(c) in label):
+            bottom = struct.bottom = True
+            if Bot() not in label:
+                label.add(Bot())
+                assertions += 1
+        return True
 
     def add_edge(x, role, y, rule, premise):
+        nonlocal assertions
         e = (role.name, y, x) if role.inverted else (role.name, x, y)
-        if e not in edges:
-            edges.add(e)
-            if keep_trace:
-                trace.append((rule, premise, f"{e[0]}({_mangle(e[1])},{_mangle(e[2])})"))
-            return True
-        return False
+        if not struct.add_edge(e):
+            return False
+        assertions += 1
+        if keep_trace:
+            trace.append((rule, premise, f"{e[0]}({_mangle(e[1])},{_mangle(e[2])})"))
+        return True
 
     def expandable(x):
         # R4/R6 are suppressed at blocked individuals and below them
@@ -355,9 +359,6 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
                 return True
             node = node.parent()
 
-    def assertion_count():
-        return sum(len(v) for v in labels.values()) + len(edges)
-
     changed = True
     while changed and not bottom:
         changed = False
@@ -365,11 +366,11 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         if rng is not None:
             rng.shuffle(inds)
         for x in inds:
-            if add_concept(x, c_t, "R1", _mangle(x)):
+            if add_concept(x, c_t, "R1", _mangle(x) if keep_trace else None):
                 changed = True
         for x in inds:
             for c in sorted(labels[x], key=concept_sort_key):
-                prem = f"{print_concept(c)}({_mangle(x)})"
+                prem = f"{print_concept(c)}({_mangle(x)})" if keep_trace else None
                 if isinstance(c, And):
                     if add_concept(x, c.left, "R2", prem):
                         changed = True
@@ -420,7 +421,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
                             changed = True
             if bottom:
                 break
-            if assertion_count() > max_assertions:
+            if assertions > max_assertions:
                 truncated = True
                 changed = False
                 break
@@ -438,7 +439,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
     status = "complete" if (bottom or not truncated) else "budget-exhausted"
     return Completion(tbox, abox, c_t,
                       {k: frozenset(v) for k, v in labels.items()},
-                      frozenset(edges), status, bottom, tuple(trace))
+                      frozenset(struct.edges), status, bottom, tuple(trace))
 
 
 # ---------------------------------------------------------------------------

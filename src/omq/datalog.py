@@ -7,15 +7,15 @@ holds the active domain Ind(A); the rewriting uses it to seed the
 trivial type-set fact at assertion-poor individuals and to keep the
 paper's domain-independent goal rules safe.
 
-Evaluation is semi-naive by default; the naive fixpoint is kept as an
-independent reference implementation.
+Evaluation is semi-naive, with joins through hash indexes on the bound
+argument positions.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -168,86 +168,119 @@ def _edb_facts(abox: ABox) -> dict:
     return facts
 
 
-def _join(rule: DRule, facts: dict, delta: Optional[dict], delta_pred_index: int):
-    """All head tuples derivable from the rule; with a delta, the body atom
-    at ``delta_pred_index`` ranges over the delta relation only."""
+def _key_getter(positions):
+    """Reads a key off a tuple: the value at one position, the tuple of
+    values at several, ``()`` at none."""
+    return itemgetter(*positions) if positions else (lambda _: ())
+
+
+def _plan(rule: DRule, first: int, index):
+    """The rule's join plan: the body atom at ``first``, then repeatedly
+    the atom with the most bound argument positions, looked up in
+    ``index(pred, arity, bound positions)``.  Variables are numbered as
+    they get bound; a binding maps the numbers to values."""
     body = rule.body
-    out = set()
-
-    def extend(i, binding):
-        if i == len(body):
-            for x, y in rule.neq:
-                if binding[x] == binding[y]:
-                    return
-            out.add(tuple(binding[v] for v in rule.head.args))
-            return
+    slots = {}
+    steps = []
+    rest = [i for i in range(len(body)) if i != first]
+    i = first
+    while True:
         atom = body[i]
-        source = facts
-        if delta is not None and i == delta_pred_index:
-            source = delta
-        for tup in sorted(source.get(atom.pred, ())):
-            if len(tup) != len(atom.args):
-                continue
-            new = dict(binding)
-            ok = True
-            for var, val in zip(atom.args, tup):
-                if new.get(var, val) != val:
-                    ok = False
-                    break
-                new[var] = val
-            if ok:
-                extend(i + 1, new)
+        bound = tuple(p for p, v in enumerate(atom.args) if v in slots)
+        source = index(atom.pred, len(atom.args), bound) if steps else None
+        key = _key_getter(tuple(slots[atom.args[p]] for p in bound))
+        binds, eqs = [], []
+        for p, v in enumerate(atom.args):
+            if v not in slots:
+                slots[v] = len(slots)
+                binds.append((p, slots[v]))
+            elif p not in bound:
+                eqs.append((p, atom.args.index(v)))
+        steps.append((source, key, tuple(binds), tuple(eqs)))
+        if not rest:
+            break
+        i = max(rest, key=lambda j: sum(v in slots for v in body[j].args))
+        rest.remove(i)
+    head = tuple(slots[v] for v in rule.head.args)
+    return tuple(steps), head, tuple((slots[x], slots[y]) for x, y in rule.neq)
 
-    extend(0, {})
-    return out
+
+def _join(plan, k, rows, env, out):
+    """Adds to ``out`` the head tuple of every extension of the binding
+    ``env`` through steps k, k+1, ..., with step k ranging over ``rows``."""
+    steps, head, neqs = plan
+    _, _, binds, eqs = steps[k]
+    last = k + 1 == len(steps)
+    if not last:
+        index, key = steps[k + 1][:2]
+    for t in rows:
+        if eqs and any(t[p] != t[q] for p, q in eqs):
+            continue
+        for p, s in binds:
+            env[s] = t[p]
+        if not last:
+            _join(plan, k + 1, index.get(key(env), ()), env, out)
+        elif not any(env[a] == env[b] for a, b in neqs):
+            out.add(tuple([env[s] for s in head]))
 
 
-def evaluate(program: Program, abox: ABox, method: str = "seminaive") -> frozenset:
-    """Least-fixpoint answers of the goal relation on the ABox."""
-    if method == "naive":
-        return _evaluate_naive(program, abox)
-    if method != "seminaive":
-        raise ValueError("method must be 'seminaive' or 'naive'")
+def evaluate(program: Program, abox: ABox) -> frozenset:
+    """Least-fixpoint answers of the goal relation on the ABox.
+
+    Semi-naive evaluation (Abiteboul, Hull & Vianu, *Foundations of
+    Databases*, ch. 13): round one joins every rule in full; each later
+    round joins a rule once per body atom whose relation grew, that atom
+    ranging over the new facts only.  The other atoms are read from hash
+    indexes on their bound argument positions, kept up to date as facts
+    are added.  Each (rule, first atom) pair is planned once per call.
+    """
     facts = _edb_facts(abox)
-    idb = program.idb()
-    for p in idb:
-        facts.setdefault(p, set())
-    # first round: full join
-    delta = {}
-    for rule in program.rules:
-        derived = _join(rule, facts, None, -1)
-        fresh = derived - facts[rule.head.pred]
-        if fresh:
-            delta.setdefault(rule.head.pred, set()).update(fresh)
-    for p, ts in delta.items():
-        facts[p].update(ts)
-    while delta:
-        new_delta = {}
-        for rule in program.rules:
-            positions = [i for i, a in enumerate(rule.body) if a.pred in delta]
-            for i in positions:
-                derived = _join(rule, facts, delta, i)
-                fresh = derived - facts[rule.head.pred]
-                if fresh:
-                    new_delta.setdefault(rule.head.pred, set()).update(fresh)
-        for p, ts in new_delta.items():
-            facts[p].update(ts)
-        delta = new_delta
-    return frozenset(facts.get(program.goal, ()))
+    indexes = {}    # (pred, arity) -> {positions: (key getter, {key: [tuple]})}
 
+    def index(pred, arity, positions):
+        by_positions = indexes.setdefault((pred, arity), {})
+        if positions not in by_positions:
+            get = _key_getter(positions)
+            idx = {}
+            for t in facts.setdefault(pred, set()):
+                if len(t) == arity:
+                    idx.setdefault(get(t), []).append(t)
+            by_positions[positions] = (get, idx)
+        return by_positions[positions][1]
 
-def _evaluate_naive(program: Program, abox: ABox) -> frozenset:
-    facts = _edb_facts(abox)
-    for p in program.idb():
-        facts.setdefault(p, set())
-    changed = True
-    while changed:
-        changed = False
-        for rule in program.rules:
-            derived = _join(rule, facts, None, -1)
-            if not derived <= facts[rule.head.pred]:
-                facts[rule.head.pred].update(derived)
-                changed = True
+    plans = {}
+    rules = program.rules
+
+    def derive(r, i, rows, new):
+        if (r, i) not in plans:
+            plans[r, i] = _plan(rules[r], i, index)
+        head = rules[r].head
+        _join(plans[r, i], 0, rows, {}, new.setdefault((head.pred, len(head.args)), set()))
+
+    uses = {}       # (pred, arity) -> [(rule number, body position)]
+    new = {}
+    for r, rule in enumerate(rules):
+        for i, a in enumerate(rule.body):
+            uses.setdefault((a.pred, len(a.args)), []).append((r, i))
+        if not rule.body:
+            new.setdefault((rule.head.pred, 0), set()).add(())
+            continue
+        a = rule.body[0]
+        derive(r, 0, [t for t in facts.get(a.pred, ()) if len(t) == len(a.args)], new)
+    while new:
+        delta = {}
+        for (pred, arity), ts in new.items():
+            ts -= facts.setdefault(pred, set())
+            if ts:
+                delta[pred, arity] = ts
+                facts[pred] |= ts
+                for get, idx in indexes.get((pred, arity), {}).values():
+                    for t in ts:
+                        idx.setdefault(get(t), []).append(t)
+        new = {}
+        for key, ts in delta.items():
+            for r, i in uses.get(key, ()):
+                derive(r, i, ts, new)
     return frozenset(facts.get(program.goal, ()))
 
 
@@ -328,6 +361,9 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
                         continue
                     emitted_prop.add(pkey)
                     target = prop(role, t0, t1)
+                    if target == t0:
+                        # the head is a body atom: the rule adds nothing
+                        continue
                     edge = DAtom(role.name, ("y", "x") if role.inverted else ("x", "y"))
                     prop_rules.append(
                         DRule(DAtom(name_of(target), ("x",)),

@@ -271,3 +271,53 @@ def test_budget_exhaustion_is_inconclusive():
         pytest.skip("budget not reachable on this instance")
     with pytest.raises(InconclusiveError):
         horn_entails_eliq(t, a, ELIQ(Atom("Z"), "x"), "a", completion=c)
+
+
+# -- trace and assertion cap --------------------------------------------------
+
+def _assertion_count(labels, edges):
+    return sum(len(v) for v in labels.values()) + len(edges)
+
+
+def test_trace_names_rule_premise_and_conclusion():
+    t = parse_tbox("A sub all r.B\nB sub some s.C")
+    c = complete(t, parse_abox("A(a)\nr(a,b)"), keep_trace=True)
+    c_t = "(A implies all r.B) and (B implies some s.C)"
+    assert c.trace[0] == ("R1", "a", f"{c_t}(a)")
+    for step in (("R2", f"{c_t}(a)", "A implies all r.B(a)"),
+                 ("R3", "A implies all r.B(a)", "all r.B(a)"),
+                 ("R7", "all r.B(a)", "B(b)"),
+                 ("R4", "some s.C(b)", "s(b,b.s.C)"),
+                 ("R4", "some s.C(b)", "C(b.s.C)")):
+        assert step in c.trace
+    clash = complete(parse_tbox("func(r)\ntop sub top"), parse_abox("r(a,b1)\nr(a,b2)"),
+                     keep_trace=True)
+    assert clash.trace[-1] == ("Rf", "r(a) has two successors", "bot(a)")
+    assert complete(t, parse_abox("A(a)\nr(a,b)")).trace == ()
+
+
+def test_trace_has_one_entry_per_added_assertion():
+    rng = random.Random(4411)
+    checked = 0
+    for _ in range(60):
+        t = rand_horn_tbox(rng, n_inclusions=3, depth=2, concepts=("A", "B"),
+                           roles=("r",), allow_inverse=True)
+        a = rand_abox(rng, n_individuals=3, n_assertions=4,
+                      concepts=("A", "B"), roles=("r",))
+        c = complete(t, a, keep_trace=True)
+        if c.bottom:
+            continue  # a clash adds bot without an entry of its own
+        checked += 1
+        added = (_assertion_count(c.labels, c.edges)
+                 - len(a.concept_assertions) - len(a.role_assertions))
+        assert len(c.trace) == added
+        assert {rule for rule, _, _ in c.trace} <= {"R1", "R2", "R3", "R4", "R7"}
+    assert checked > 40
+
+
+def test_assertion_cap_exhausts_the_budget():
+    # the untamed completion of A sub some r.A on A(a) is an infinite r-chain
+    a = parse_abox("A(a)")
+    small = complete(T_EXISTS_R, a, max_assertions=3)
+    assert small.status == "budget-exhausted"
+    assert complete(T_EXISTS_R, a, max_assertions=10_000).status == "complete"

@@ -6,11 +6,11 @@ from omq.syntax import ABox, Atom, ELIQ, Exists, Role, TBox, parse_abox, parse_t
 from omq.chase import horn_entails_eliq
 from omq.datalog import (
     DAtom, DOM, DRule, GlueRule, NoOracleError, Program, SizeGuardError,
-    build_rewriting, evaluate, parse_program, print_program, soundness_status,
-    union_programs,
+    _edb_facts, build_rewriting, evaluate, parse_program, print_program,
+    soundness_status, union_programs,
 )
 
-from genutil import rand_abox
+from genutil import rand_abox, rand_horn_tbox
 
 A = Atom("A")
 r = Role("r")
@@ -56,40 +56,121 @@ def test_program_validation():
                  DRule(DAtom("goal", ("x",)), (DAtom("A", ("x",)),))))
 
 
+# -- the naive reference evaluator ----------------------------------------------
+
+def _join_naive(rule, facts):
+    """All head tuples derivable from the rule: every body atom ranges
+    over its whole relation, scanned in sorted order."""
+    body = rule.body
+    out = set()
+
+    def extend(i, binding):
+        if i == len(body):
+            for x, y in rule.neq:
+                if binding[x] == binding[y]:
+                    return
+            out.add(tuple(binding[v] for v in rule.head.args))
+            return
+        atom = body[i]
+        for tup in sorted(facts.get(atom.pred, ())):
+            if len(tup) != len(atom.args):
+                continue
+            new = dict(binding)
+            ok = True
+            for var, val in zip(atom.args, tup):
+                if new.get(var, val) != val:
+                    ok = False
+                    break
+                new[var] = val
+            if ok:
+                extend(i + 1, new)
+
+    extend(0, {})
+    return out
+
+
+def evaluate_naive(program, abox):
+    """The naive fixpoint: apply every rule in full until nothing changes."""
+    facts = _edb_facts(abox)
+    for p in program.idb():
+        facts.setdefault(p, set())
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            derived = _join_naive(rule, facts)
+            if not derived <= facts[rule.head.pred]:
+                facts[rule.head.pred].update(derived)
+                changed = True
+    return frozenset(facts.get(program.goal, ()))
+
+
+def _rand_atom(rng, variables):
+    """A random body atom over the given variables: unary EDB or IDB,
+    binary EDB or IDB, a repeated variable ``r(x,x)``, or a binary atom
+    over two variables already in use."""
+    kind = rng.random()
+    if kind < 0.35:
+        return DAtom(rng.choice(["A", "B", "P", "Q"]), (rng.choice(variables),))
+    pred = rng.choice(["r", "s", "R"])
+    if kind < 0.45:
+        v = rng.choice(variables)
+        return DAtom(pred, (v, v))
+    if kind < 0.6 and len(variables) >= 2:
+        return DAtom(pred, tuple(rng.sample(variables, 2)))
+    v = f"y{len(variables)}"
+    old = rng.choice(variables)
+    variables.append(v)
+    return DAtom(pred, (old, v) if rng.random() < 0.5 else (v, old))
+
+
+def _features(rule):
+    atoms = rule.body
+    found = {"neq": bool(rule.neq),
+             "repeat": any(len(set(a.args)) < len(a.args) for a in atoms),
+             "binary idb": rule.head.pred == "R",
+             "shared pair": any(len(set(a.args)) == 2 and set(a.args) <= set(b.args)
+                                for k, a in enumerate(atoms) for b in atoms[:k])}
+    return {name for name, present in found.items() if present}
+
+
 def test_seminaive_equals_naive_random():
+    """Random programs with unary and binary IDB relations (``P``, ``Q``
+    and ``R``), repeated variables in one atom, atoms that share both
+    variables with earlier ones, and inequalities between bound
+    variables, with a unary or a 0-ary goal."""
     rng = random.Random(61)
-    preds_u = ["A", "B", "P", "Q"]
-    preds_b = ["r", "s"]
-    for _ in range(150):
-        rules = []
+    kinds = set()
+    for _ in range(400):
+        goal_arity = rng.choice([0, 1, 1])
+        rules = [DRule(DAtom("P", ("x",)), (DAtom("A", ("x",)),)),
+                 DRule(DAtom("R", ("x", "y")), (DAtom("s", ("x", "y")),))]
         for _k in range(rng.randint(1, 5)):
-            head_pred = rng.choice(["goal", "P", "Q"])
-            head_vars = ("x",) if head_pred != "goal" else ("x",)
-            body = []
+            head_pred = rng.choice(["goal", "P", "Q", "R"])
             variables = ["x"]
-            for _j in range(rng.randint(1, 3)):
-                if rng.random() < 0.5:
-                    body.append(DAtom(rng.choice(preds_u), (rng.choice(variables),)))
-                else:
-                    v = f"y{_j}"
-                    body.append(DAtom(rng.choice(preds_b),
-                                      (rng.choice(variables), v)))
-                    variables.append(v)
+            body = [_rand_atom(rng, variables) for _j in range(rng.randint(1, 3))]
             if not any("x" in a.args for a in body):
                 body.append(DAtom(DOM, ("x",)))
+            head_vars = {"goal": ("x",) * goal_arity, "R": ("x", variables[-1])}
             neq = ()
             if len(variables) >= 2 and rng.random() < 0.3:
-                neq = ((variables[0], variables[-1]),)
-            rules.append(DRule(DAtom(head_pred, head_vars), tuple(body), neq))
+                neq = (tuple(rng.sample(variables, 2)),)
+            rules.append(DRule(DAtom(head_pred, head_vars.get(head_pred, ("x",))),
+                               tuple(body), neq))
         if not any(ru.head.pred == "goal" for ru in rules):
             continue
         try:
-            p = Program(tuple(rules), "goal", 1)
+            p = Program(tuple(rules), "goal", goal_arity)
         except ValueError:
             continue
-        abox = rand_abox(rng, n_individuals=4, n_assertions=6,
+        kinds.add(f"{goal_arity}-ary goal")
+        for ru in rules:
+            kinds |= _features(ru)
+        abox = rand_abox(rng, n_individuals=4, n_assertions=10,
                          concepts=("A", "B"), roles=("r", "s"))
-        assert evaluate(p, abox, "seminaive") == evaluate(p, abox, "naive")
+        assert evaluate(p, abox) == evaluate_naive(p, abox), p
+    assert kinds >= {"0-ary goal", "1-ary goal", "neq", "repeat", "binary idb",
+                     "shared pair"}
 
 
 def test_monotone_for_inequality_free():
@@ -157,6 +238,36 @@ def test_rewriting_functionality_goal_rules():
     assert evaluate(p, parse_abox("r(a,b)")) == frozenset()
     # on consistent data only the M-individual answers the unary query
     assert evaluate(p, parse_abox("M(a)\nr(a,b)")) == {("a",)}
+
+
+def test_rewriting_has_no_self_implying_rules():
+    rng = random.Random(68)
+    tboxes = [T_EXISTS_L, parse_tbox("A sub some r.B\nB sub some r.A\nsome r.B sub B")]
+    tboxes += [rand_horn_tbox(rng, n_inclusions=2, depth=1, roles=("r", "s"))
+               for _ in range(10)]
+    for t in tboxes:
+        for rule in build_rewriting(t, ELIQ(A, "x")).rules:
+            assert rule.head not in rule.body, rule
+
+
+def test_rewriting_agrees_with_chase_on_random_horn_tboxes():
+    rng = random.Random(69)
+    queries = [A, Atom("B"), Exists(r, A), Exists(Role("r", True), Atom("B"))]
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        t = rand_horn_tbox(rng, n_inclusions=3, depth=2, concepts=("A", "B"),
+                           roles=("r",), allow_inverse=True)
+        q = ELIQ(rng.choice(queries), "x")
+        p = build_rewriting(t, q)
+        for _k in range(6):
+            abox = rand_abox(rng, n_individuals=4, n_assertions=6,
+                             concepts=("A", "B"), roles=("r",))
+            answers = {a for (a,) in evaluate(p, abox)}
+            for a in sorted(abox.individuals()):
+                truth = horn_entails_eliq(t, abox, q, a)
+                assert (a in answers) == truth, (t, abox, a)
+                outcomes[truth] += 1
+    assert min(outcomes.values()) > 200
 
 
 def test_rewriting_size_guard():
