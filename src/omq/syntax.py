@@ -223,15 +223,13 @@ def roles_of_concept(c: Concept) -> set[Role]:
     return {s.role for s in subconcepts(c) if isinstance(s, (Exists, Forall))}
 
 
-_SORT_KEY_CACHE: dict = {}
-
-
 def concept_sort_key(c: Concept):
-    """A total, deterministic order on concepts (structural); memoized,
-    concepts being immutable."""
-    key = _SORT_KEY_CACHE.get(c)
-    if key is not None:
-        return key
+    """A total, deterministic order on concepts (structural); kept on the
+    concept like its hash, concepts being immutable."""
+    try:
+        return c._sort_key
+    except AttributeError:
+        pass
     if isinstance(c, Top):
         key = (0,)
     elif isinstance(c, Bot):
@@ -252,7 +250,7 @@ def concept_sort_key(c: Concept):
         key = (8, (c.role.name, c.role.inverted), concept_sort_key(c.filler))
     else:
         raise TypeError(f"not a concept: {c!r}")
-    _SORT_KEY_CACHE[c] = key
+    object.__setattr__(c, "_sort_key", key)
     return key
 
 

@@ -15,6 +15,19 @@ explored.  Without it, unsatisfiable inputs whose clash is independent
 of most choices (the common case for the hiding encodings) blow up
 exponentially.
 
+The search is a loop over an explicit stack of open decisions, not a
+recursion, so its depth is bounded by memory alone.  A decision copies
+and sorts only what it changes (Horrocks & Patel-Schneider, "Optimizing
+description logic subsumption", 1999):
+
+* branch states are copy-on-write: the state kept for the right branch
+  shares every node with the left one, and each state copies a node
+  before its first write to it (``_State.own``);
+* each node memoizes its least open disjunction, keyed by its label
+  size: labels only grow, and every write adds a new key, so a label of
+  unchanged size holds the same concepts;
+* edges between individuals are read from an adjacency index.
+
 The node budget bounds the total number of nodes created across all
 branches; exhausting it raises BudgetExceededError, which is distinct
 from both outcomes of the decision.
@@ -22,6 +35,7 @@ from both outcomes of the decision.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from .syntax import (
@@ -108,32 +122,45 @@ def nnf_not(c: Concept) -> Concept:
 # ---------------------------------------------------------------------------
 
 class _Node:
-    __slots__ = ("nid", "label", "parent", "parent_role", "is_root", "edge_deps")
+    __slots__ = ("nid", "label", "parent", "parent_role", "is_root", "edge_deps",
+                 "children", "or_memo")
 
     def __init__(self, nid, label, parent, parent_role, is_root,
-                 edge_deps=_NO_DEPS):
+                 edge_deps=_NO_DEPS, children=(), or_memo=(-1, None)):
         self.nid = nid
         self.label = label          # Concept -> frozenset of decision ids
         self.parent = parent        # nid or None
         self.parent_role = parent_role  # Role: (parent, this) in role^I
         self.is_root = is_root
         self.edge_deps = edge_deps  # decisions the parent edge depends on
+        self.children = list(children)  # child nids
+        self.or_memo = or_memo      # (label size, least open Or or None)
 
     def copy(self):
         return _Node(self.nid, dict(self.label), self.parent, self.parent_role,
-                     self.is_root, self.edge_deps)
+                     self.is_root, self.edge_deps, self.children, self.or_memo)
 
 
 class _State:
-    __slots__ = ("nodes", "children")
+    __slots__ = ("nodes", "owned")
 
-    def __init__(self, nodes, children):
-        self.nodes = nodes          # nid -> _Node
-        self.children = children    # nid -> list of child nids
+    def __init__(self, nodes, owned):
+        self.nodes = nodes          # nid -> _Node, possibly shared
+        self.owned = owned          # nids whose _Node no other state holds
 
     def copy(self):
-        return _State({nid: n.copy() for nid, n in self.nodes.items()},
-                      {nid: list(v) for nid, v in self.children.items()})
+        """The other branch's state; both now share every node."""
+        self.owned = set()
+        return _State(dict(self.nodes), set())
+
+    def own(self, x) -> _Node:
+        """Node ``x``, copied first if another state may hold it; every
+        write to a node goes through here."""
+        if x in self.owned:
+            return self.nodes[x]
+        self.owned.add(x)
+        node = self.nodes[x] = self.nodes[x].copy()
+        return node
 
 
 class _Clash(Exception):
@@ -158,26 +185,25 @@ class _Tableau:
         self.budget = budget
         self.created = 0
         self.decisions = 0
-        self.root_edges = {}   # (nid, nid) -> set of role names
+        self.root_adj = {}     # root nid -> {(role name, inverted, root nid)}
 
     # -- construction -------------------------------------------------------
 
     def seed(self, individuals, labels, role_edges) -> _State:
         nodes = {}
-        children = {}
         index = {}
         for i, name in enumerate(sorted(individuals)):
             label = {c: _NO_DEPS for c in labels.get(name, ())}
             for c in self.global_concepts:
                 label.setdefault(c, _NO_DEPS)
             nodes[i] = _Node(i, label, None, None, True)
-            children[i] = []
             index[name] = i
             self.created += 1
-        for name, a, b in sorted(role_edges):
-            key = (index[a], index[b])
-            self.root_edges.setdefault(key, set()).add(name)
-        return _State(nodes, children)
+        for name, a, b in role_edges:
+            a, b = index[a], index[b]
+            self.root_adj.setdefault(a, set()).add((name, False, b))
+            self.root_adj.setdefault(b, set()).add((name, True, a))
+        return _State(nodes, set(nodes))
 
     def _new_child(self, state: _State, parent: int, role: Role, concept,
                    deps) -> int:
@@ -188,33 +214,28 @@ class _Tableau:
         label = {concept: deps}
         for c in self.global_concepts:
             label.setdefault(c, _NO_DEPS)
-        node = _Node(nid, label, parent, role, False, deps)
-        state.nodes[nid] = node
-        state.children[nid] = []
-        state.children[parent].append(nid)
+        state.nodes[nid] = _Node(nid, label, parent, role, False, deps)
+        state.owned.add(nid)
+        state.own(parent).children.append(nid)
         return nid
 
     # -- structure queries ----------------------------------------------------
 
     def neighbours(self, state: _State, x: int, role: Role):
         """All (y, edge deps) with (x, y) in role^I."""
-        node = state.nodes[x]
-        out = []
-        for cid in state.children.get(x, ()):
-            child = state.nodes[cid]
-            if child.parent_role == role:
-                out.append((cid, child.edge_deps))
-        if node.parent is not None and node.parent_role == role.inverse():
+        nodes = state.nodes
+        node = nodes[x]
+        out = [(cid, nodes[cid].edge_deps) for cid in node.children
+               if nodes[cid].parent_role == role]
+        up = node.parent_role
+        if up is not None and up.name == role.name and up.inverted != role.inverted:
             out.append((node.parent, node.edge_deps))
-        if node.is_root:
-            for (a, b), names in self.root_edges.items():
-                if a not in state.nodes or b not in state.nodes:
-                    continue
-                if not role.inverted and a == x and role.name in names:
-                    out.append((b, _NO_DEPS))
-                elif role.inverted and b == x and role.name in names:
-                    out.append((a, _NO_DEPS))
-        return sorted(out, key=lambda p: p[0])
+        if node.is_root:  # roots are never merged away: the index stays valid
+            out.extend((y, _NO_DEPS) for name, inv, y in self.root_adj.get(x, ())
+                       if name == role.name and inv == role.inverted)
+        if len(out) > 1:
+            out.sort(key=itemgetter(0))
+        return out
 
     def _ancestors(self, state: _State, x: int):
         node = state.nodes[x]
@@ -261,12 +282,11 @@ class _Tableau:
     # -- rules ----------------------------------------------------------------
 
     @staticmethod
-    def _add(node: _Node, c, deps) -> bool:
-        old = node.label.get(c)
-        if old is None:
-            node.label[c] = deps
-            return True
-        return False
+    def _add(state: _State, x: int, c, deps) -> bool:
+        if c in state.nodes[x].label:
+            return False
+        state.own(x).label[c] = deps
+        return True
 
     @staticmethod
     def _check_node_clash(node: _Node):
@@ -279,37 +299,32 @@ class _Tableau:
                 if other is not None:
                     raise _Clash(deps | other)
 
-    def _all_deps(self, node: _Node) -> frozenset:
-        out = set(node.edge_deps)
-        for deps in node.label.values():
-            out |= deps
-        return frozenset(out)
-
     def _merge(self, state: _State, source: int, target: int, trigger):
         """Merge tree node ``source`` into ``target``; every transferred
         fact additionally depends on the merge trigger."""
         snode = state.nodes[source]
-        tnode = state.nodes[target]
+        tnode = state.own(target)
         extra = trigger | snode.edge_deps
         for c, deps in snode.label.items():
             # keep existing justifications: any one valid dep set suffices
             if c not in tnode.label:
                 tnode.label[c] = deps | extra
-        for cid in list(state.children.get(source, ())):
-            child = state.nodes[cid]
+        for cid in snode.children:
+            child = state.own(cid)
             child.parent = target
             child.edge_deps = child.edge_deps | extra
-            state.children[target].append(cid)
+            tnode.children.append(cid)
         if snode.parent is not None:
-            state.children[snode.parent].remove(source)
+            state.own(snode.parent).children.remove(source)
         del state.nodes[source]
-        del state.children[source]
 
     def _apply_functional(self, state: _State) -> bool:
         for role in self.functional:
             for x in sorted(state.nodes):
-                if x not in state.nodes:
-                    continue
+                node = state.nodes[x]
+                if len(node.children) + (node.parent is not None) < 2 \
+                        and x not in self.root_adj:
+                    continue    # fewer than two neighbours of any role
                 ns = self.neighbours(state, x, role)
                 if len(ns) < 2:
                     continue
@@ -365,33 +380,32 @@ class _Tableau:
                 queued.discard(x)
                 if x not in state.nodes:
                     continue
-                node = state.nodes[x]
-                label = node.label
                 changed_self = False
-                for c in list(label):
+                for c in list(state.nodes[x].label):
+                    label = state.nodes[x].label  # own() may have replaced it
                     deps = label[c]
                     if isinstance(c, And):
-                        if self._add(node, c.left, deps):
+                        if self._add(state, x, c.left, deps):
                             changed_self = True
-                        if self._add(node, c.right, deps):
+                        if self._add(state, x, c.right, deps):
                             changed_self = True
                     elif isinstance(c, Or):
                         if c.left in label or c.right in label:
                             continue
                         dead = self._dead_literal(c.left, label)
                         if dead is not None:
-                            if self._add(node, c.right, deps | dead):
+                            if self._add(state, x, c.right, deps | dead):
                                 changed_self = True
                             continue
                         dead = self._dead_literal(c.right, label)
                         if dead is not None:
-                            if self._add(node, c.left, deps | dead):
+                            if self._add(state, x, c.left, deps | dead):
                                 changed_self = True
                     elif isinstance(c, Forall):
                         for y, edeps in self.neighbours(state, x, c.role):
-                            if self._add(state.nodes[y], c.filler, deps | edeps):
+                            if self._add(state, y, c.filler, deps | edeps):
                                 enqueue(y)
-                self._check_node_clash(node)
+                self._check_node_clash(state.nodes[x])
                 if changed_self:
                     enqueue(x)
             merged = False
@@ -406,13 +420,15 @@ class _Tableau:
 
     def _find_or(self, state: _State):
         for x in sorted(state.nodes):
-            label = state.nodes[x].label
-            open_or = None
-            for c in sorted(label, key=concept_sort_key):
-                if isinstance(c, Or) and c.left not in label and \
-                        c.right not in label:
-                    open_or = c
-                    break
+            node = state.nodes[x]
+            label = node.label
+            size, open_or = node.or_memo
+            if size != len(label):
+                open_or = min((c for c in label if isinstance(c, Or)
+                               and c.left not in label and c.right not in label),
+                              key=concept_sort_key, default=None)
+                # a cache of the keys only, so shared nodes may hold it too
+                node.or_memo = (len(label), open_or)
             # blocked nodes never appear in the constructed model, so
             # their disjunctions need no resolution
             if open_or is not None and not self.blocked(state, x):
@@ -425,8 +441,8 @@ class _Tableau:
         for x in sorted(state.nodes):
             node = state.nodes[x]
             label = node.label
-            existentials = [c for c in sorted(label, key=concept_sort_key)
-                            if isinstance(c, Exists)]
+            existentials = sorted((c for c in label if isinstance(c, Exists)),
+                                  key=concept_sort_key)
             blocked = None
             for c in existentials:
                 ns = self.neighbours(state, x, c.role)
@@ -435,7 +451,7 @@ class _Tableau:
                 deps = label[c]
                 if c.role in self.functional and ns:
                     y, edeps = ns[0]
-                    if self._add(state.nodes[y], c.filler, deps | edeps):
+                    if self._add(state, y, c.filler, deps | edeps):
                         return {y}
                     continue
                 if blocked is None:
@@ -448,48 +464,44 @@ class _Tableau:
 
     # -- search ----------------------------------------------------------------
 
-    def _explore(self, state: _State, dirty=None) -> Optional[frozenset]:
-        """None when a complete clash-free graph exists; otherwise the set
-        of decisions the failure depends on."""
+    def run(self, state: _State) -> bool:
+        """True iff a complete clash-free completion graph exists."""
+        # open decisions: (right-branch state, node, disjunction, decision,
+        # base deps, deps of the failed left branch or None while in it)
+        stack = []
+        dirty = None
         while True:
             try:
                 self._saturate(state, dirty)
                 branch = self._find_or(state)
                 if branch is None:
                     dirty = self._apply_exists(state)
-                    if dirty is not None:
-                        continue
+                    if dirty is None:
+                        return True
+                    continue
             except _Clash as clash:
-                return clash.deps
-            if branch is None:
-                return None
+                deps = clash.deps
+                while True:
+                    if not stack:
+                        return False
+                    alt, x, c, decision, base, left = stack.pop()
+                    if left is not None:
+                        deps = (left | deps | base) - {decision}
+                    elif decision in deps:
+                        stack.append((None, x, c, decision, base, deps))
+                        state, dirty = alt, {x}
+                        state.own(x).label[c.right] = base | {decision}
+                        break
+                    # else the clash does not involve this choice: the
+                    # right branch would fail for the same reason
+                continue
             x, c = branch
             decision = self.decisions
             self.decisions += 1
-            base_deps = state.nodes[x].label[c]
-            alt = state.copy()
-            state.nodes[x].label[c.left] = base_deps | {decision}
-            left_deps = self._explore(state, {x})
-            if left_deps is None:
-                return None
-            if decision not in left_deps:
-                # the clash does not involve this choice: the right branch
-                # would fail for the same reason
-                return left_deps
-            alt.nodes[x].label[c.right] = base_deps | {decision}
-            right_deps = self._explore(alt, {x})
-            if right_deps is None:
-                return None
-            return (left_deps | right_deps | base_deps) - {decision}
-
-    def run(self, state: _State) -> bool:
-        import sys
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 100000))
-        try:
-            return self._explore(state) is None
-        finally:
-            sys.setrecursionlimit(old_limit)
+            base = state.nodes[x].label[c]
+            stack.append((state.copy(), x, c, decision, base, None))
+            dirty = {x}
+            state.own(x).label[c.left] = base | {decision}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from omq.syntax import (
     ABox, And, Atom, Bot, CQ, ELIQ, ELQ, Exists, Forall, Implies, Not, Or,
     PAnd, PAtom, PEQ, PExists, POr, ParseError, Role, TBox, Top, UCQ,
-    concept_depth, dialect, eliq_to_cq, cq_to_eli_concept, is_depth_one,
+    concept_depth, concept_sort_key, dialect, eliq_to_cq, cq_to_eli_concept, is_depth_one,
     is_horn_alcfi, parse_abox, parse_concept, parse_query, parse_tbox,
     peq_to_ucq, print_abox, print_query, print_tbox, DisjunctBlowupError,
 )
@@ -250,3 +250,44 @@ def test_printer_parser_roundtrip_queries():
         else:
             q = rand_peq(rng, max_nodes=5)
             assert parse_query(print_query(q)) == q
+
+
+def _structural_key(c):
+    """concept_sort_key computed afresh, without any cache."""
+    if isinstance(c, (Top, Bot)):
+        return (0,) if isinstance(c, Top) else (1,)
+    if isinstance(c, Atom):
+        return (2, c.name)
+    if isinstance(c, Not):
+        return (3, _structural_key(c.sub))
+    if isinstance(c, (And, Or, Implies)):
+        tag = {And: 4, Or: 5, Implies: 6}[type(c)]
+        return (tag, _structural_key(c.left), _structural_key(c.right))
+    tag = 7 if isinstance(c, Exists) else 8
+    return (tag, (c.role.name, c.role.inverted), _structural_key(c.filler))
+
+
+def test_concept_sort_key_is_structural_random():
+    rng = random.Random(23)
+    by_key = {}
+    for _ in range(2000):
+        c = rand_concept(rng, depth=3, allow_implies=True)
+        key = concept_sort_key(c)
+        assert key == _structural_key(c)
+        assert concept_sort_key(c) is key
+        # a total order: equal keys only for equal concepts
+        assert by_key.setdefault(key, c) == c
+
+
+def test_concept_sort_key_keeps_no_module_cache():
+    import omq.syntax as syntax
+
+    def dict_sizes():
+        return {name: len(v) for name, v in vars(syntax).items()
+                if isinstance(v, dict) and not name.startswith("__")}
+
+    before = dict_sizes()
+    rng = random.Random(29)
+    for _ in range(200):
+        concept_sort_key(rand_concept(rng, depth=3))
+    assert dict_sizes() == before
