@@ -14,8 +14,7 @@ from .syntax import (
     print_concept, print_query, print_tbox,
 )
 from .semantics import (
-    Interpretation, UnravelingSlice, eval_concept, find_homomorphism,
-    find_simulation, is_model, match_query, unfold, unravel_abox,
+    Interpretation, eval_concept, find_homomorphism, is_model, match_query,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """TBox property analysis: disjunction-property refutation (witnessing
 non-materializability), unraveling-tolerance refutation, dichotomy-style
-classification, and the graph/SAT constructions used as stress inputs.
+classification, and the k-colouring and 2+2-SAT constructions.
 
 Refuters enumerate small ABoxes over the TBox signature up to
 isomorphism and bounded tree queries; every emitted witness re-verifies
@@ -133,56 +133,6 @@ def enumerate_aboxes(concepts, roles, max_individuals,
             yield ABox(frozenset(cas), frozenset(ras))
 
 
-def abox_isomorphic(a: ABox, b: ABox) -> bool:
-    """Exact isomorphism of ABoxes (bijective, assertion-preserving both
-    ways); backtracking over degree-compatible bijections."""
-    ia, ib = sorted(a.individuals()), sorted(b.individuals())
-    if len(ia) != len(ib):
-        return False
-    if len(a.concept_assertions) != len(b.concept_assertions):
-        return False
-    if len(a.role_assertions) != len(b.role_assertions):
-        return False
-
-    def signature(abox, x):
-        labels = frozenset(n for n, y in abox.concept_assertions if y == x)
-        out = sorted(n for n, y, _ in abox.role_assertions if y == x)
-        inc = sorted(n for n, _, y in abox.role_assertions if y == x)
-        return (labels, tuple(out), tuple(inc))
-
-    sig_a = {x: signature(a, x) for x in ia}
-    sig_b = {x: signature(b, x) for x in ib}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return False
-    candidates = {x: [y for y in ib if sig_b[y] == sig_a[x]] for x in ia}
-
-    def check(mapping):
-        for n, x in a.concept_assertions:
-            if (n, mapping[x]) not in b.concept_assertions:
-                return False
-        for n, x, y in a.role_assertions:
-            if (n, mapping[x], mapping[y]) not in b.role_assertions:
-                return False
-        return True
-
-    def search(k, mapping, taken):
-        if k == len(ia):
-            return check(mapping)
-        x = ia[k]
-        for y in candidates[x]:
-            if y in taken:
-                continue
-            mapping[x] = y
-            taken.add(y)
-            if search(k + 1, mapping, taken):
-                return True
-            taken.discard(y)
-            del mapping[x]
-        return False
-
-    return search(0, {}, set())
-
-
 # ---------------------------------------------------------------------------
 # Tree-query candidates
 # ---------------------------------------------------------------------------
@@ -289,27 +239,6 @@ class ClassificationReport:
     caveats: tuple
     budget: Budget
 
-    def as_dict(self):
-        def show(part):
-            status, detail = part
-            if isinstance(detail, (DisjunctionViolation, UnravelingViolation)):
-                detail = repr(detail)
-            return {"status": status, "detail": detail}
-        return {
-            "dialect": self.dialect,
-            "depth_one": self.depth_one,
-            "horn": self.horn,
-            "materializable": show(self.materializable),
-            "unraveling_tolerant": show(self.unraveling_tolerant),
-            "verdict": self.verdict,
-            "caveats": list(self.caveats),
-            "budget": {
-                "max_individuals": self.budget.max_individuals,
-                "max_eliq_depth": self.budget.max_eliq_depth,
-                "max_disjuncts": self.budget.max_disjuncts,
-            },
-        }
-
 
 def classify(tbox: TBox, budget: Budget = Budget()) -> ClassificationReport:
     """Run both refuters and assemble the dichotomy-style report.
@@ -382,17 +311,6 @@ def gen_kcolor_tbox(k: int) -> TBox:
         cover = Or(cover, c)
     inclusions.add((Top(), cover))
     return TBox(frozenset(inclusions), frozenset())
-
-
-def gen_cycle_abox(n: int, symmetric: bool = False) -> ABox:
-    """An n-cycle over role r; symmetric adds both edge directions."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    names = [f"a{i}" for i in range(n)]
-    ras = {("r", names[i], names[(i + 1) % n]) for i in range(n)}
-    if symmetric:
-        ras |= {("r", names[(i + 1) % n], names[i]) for i in range(n)}
-    return ABox(frozenset(), frozenset(ras))
 
 
 def minimize_witness(tbox: TBox, witness: DisjunctionViolation) -> DisjunctionViolation:

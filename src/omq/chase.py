@@ -278,16 +278,6 @@ class Completion:
                               {k: frozenset(v) for k, v in cext.items()},
                               {k: frozenset(v) for k, v in rext.items()})
 
-    def to_abox(self) -> ABox:
-        cas = set()
-        for x, label in self.labels.items():
-            for c in label:
-                if isinstance(c, Atom):
-                    cas.add((c.name, _mangle(x)))
-        ras = {(n, _mangle(a), _mangle(b)) for n, a, b in self.edges}
-        return ABox(frozenset(cas), frozenset(ras))
-
-
 # ---------------------------------------------------------------------------
 # The completion procedure
 # ---------------------------------------------------------------------------

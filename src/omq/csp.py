@@ -1,10 +1,10 @@
 """The CSP bridge: templates built from ontology-mediated queries,
-homomorphism and arc-consistency solvers, exact unraveling-entailment,
-the CSP-to-TBox encoding, and enriched signature abstraction.
+homomorphism solving against them, exact unraveling-entailment, the
+CSP-to-TBox encoding, and enriched signature abstraction.
 
-Homomorphisms, arc consistency and unraveling entailment all run on the
-propagation kernel of the semantics module (``hom_problem``,
-``arc_consistency``, ``find_homomorphism``).
+Homomorphisms and unraveling entailment both run on the propagation
+kernel of the semantics module (``arc_consistency``,
+``find_homomorphism``).
 
 The central contract is homomorphism duality: for an ALC/ALCI TBox and a
 Boolean tree query, the certain answer holds exactly when the data's
@@ -24,11 +24,10 @@ from .syntax import (
 )
 from .semantics import (
     Interpretation, arc_consistency, element_labels, find_homomorphism,
-    hom_problem, is_model, role_moves,
+    is_model, role_moves,
 )
-from .types import (
-    closure, kb_consistent, omitting_succ_relation, types_omitting,
-)
+from .tableau import abox_consistent
+from .types import omitting_succ_relation, types_omitting
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,6 @@ class Signature:
     def union(self, other: "Signature") -> "Signature":
         return Signature(self.concept_names | other.concept_names,
                          self.role_names | other.role_names)
-
-    def covers_abox(self, abox: ABox) -> bool:
-        return abox.concept_names() <= self.concept_names and \
-            abox.role_names() <= self.role_names
 
 
 def sig_of_query_concept(c: Concept) -> Signature:
@@ -118,13 +113,6 @@ def csp_hom(abox: ABox, template: Template) -> Optional[dict]:
     if not tgt.domain:
         return None if src.domain else {}
     return find_homomorphism(src, tgt, preserve=())
-
-
-def csp_arc_consistent(abox: ABox, template: Template) -> bool:
-    """Plain arc consistency: False means provably no homomorphism; True
-    is only a maybe on cyclic inputs (exact on trees)."""
-    problem = hom_problem(Interpretation.from_abox(abox), template.interpretation())
-    return all(arc_consistency(*problem).values())
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +252,6 @@ class AbstractionMap:
                 return h
         raise KeyError(name)
 
-    def as_dict(self):
-        return {n: {"Z": z, "r": r, "s": s} for n, z, r, s, _h in self.hidden}
-
-
 def _substitute_atoms(c: Concept, mapping: dict) -> Concept:
     if isinstance(c, Atom):
         return mapping.get(c.name, c)
@@ -360,18 +344,6 @@ class TemplateEncoding:
     abstraction: AbstractionMap
     point_names: tuple
 
-    def manifest(self) -> dict:
-        return {
-            "marker": self.marker,
-            "signature": {
-                "concepts": sorted(self.sigma.concept_names),
-                "roles": sorted(self.sigma.role_names),
-            },
-            "points": list(self.point_names),
-            "hidden": self.abstraction.as_dict(),
-        }
-
-
 def tbox_from_template(template: Template) -> TemplateEncoding:
     """Build the hiding encoding: point concepts A_d with a dom-guarded
     covering disjunction, pairwise disjointness, forbidden-edge and
@@ -428,4 +400,4 @@ def template_entails_marker(encoding: TemplateEncoding, abox: ABox,
     """
     if encoding.marker in abox.concept_names():
         raise ValueError(f"input ABox must not use the marker {encoding.marker}")
-    return not kb_consistent(encoding.tbox, abox, budget=budget)
+    return not abox_consistent(encoding.tbox, abox, budget=budget)

@@ -85,10 +85,6 @@ class Program:
     def idb(self) -> frozenset:
         return frozenset(r.head.pred for r in self.rules)
 
-    def is_monadic(self) -> bool:
-        return all(len(r.head.args) == 1 for r in self.rules
-                   if r.head.pred != self.goal)
-
     def __str__(self):
         return print_program(self)
 

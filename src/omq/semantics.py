@@ -1,6 +1,5 @@
 """Finite interpretations and the model-theoretic toolbox: concept
-evaluation, model checking, query matching, homomorphism and simulation
-solvers, bounded unfoldings and ABox unravelings.
+evaluation, model checking, query matching and the homomorphism solver.
 
 One propagation kernel serves every mapping question here and in the csp
 module: ``element_labels`` and ``role_moves`` index an interpretation,
@@ -11,10 +10,7 @@ consistency.  Homomorphisms, simulations and CQ matches all run on it.
 
 Domain elements are arbitrary hashable values; named individuals are the
 subset of the domain interpreted under the standard name assumption (the
-same name denotes the same element across structures).  Unfoldings and
-unraveling slices use word elements: the base element for words of length
-zero and tuples ``(d0, r1, d1, ...)`` with Role objects at odd positions
-for longer words.
+same name denotes the same element across structures).
 
 Every operation is a pure function over immutable inputs; solvers keep
 their working state per call, so concurrent use needs no coordination.
@@ -22,7 +18,7 @@ their working state per call, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .syntax import (
@@ -32,7 +28,7 @@ from .syntax import (
 
 
 def _ekey(e):
-    """Deterministic sort key for mixed string/word domain elements."""
+    """Deterministic sort key for mixed string/tuple domain elements."""
     if isinstance(e, tuple):
         return (1, tuple(str(x) for x in e))
     return (0, str(e))
@@ -79,60 +75,6 @@ class Interpretation:
         if role.inverted:
             return frozenset((b, a) for a, b in pairs)
         return pairs
-
-    def to_abox(self, mangle=None) -> ABox:
-        """Forget namedness and render as an ABox; ``mangle`` maps elements
-        to identifier strings (defaults to str)."""
-        mangle = mangle or _default_mangle
-        cas = {(n, mangle(d)) for n, ds in self.concept_ext.items() for d in ds}
-        ras = {(n, mangle(a), mangle(b)) for n, ps in self.role_ext.items() for a, b in ps}
-        return ABox(frozenset(cas), frozenset(ras))
-
-
-def _default_mangle(e) -> str:
-    if isinstance(e, tuple):
-        parts = []
-        for x in e:
-            if isinstance(x, Role):
-                parts.append(x.name + ("_inv" if x.inverted else ""))
-            else:
-                parts.append(str(x))
-        return ".".join(parts)
-    return str(e)
-
-
-def interpretation_to_text(i: Interpretation) -> str:
-    """ABox text format extended with a ``named:`` header line."""
-    mangle = _default_mangle
-    named = " ".join(sorted(mangle(d) for d in i.named))
-    body = i.to_abox().__str__()
-    # elements outside every extension still need to exist: list them too
-    extra = sorted(mangle(d) for d in i.domain)
-    return f"named: {named}\ndomain: {' '.join(extra)}\n{body}"
-
-
-def interpretation_from_text(text: str) -> Interpretation:
-    named = []
-    domain = []
-    lines = []
-    for raw in text.splitlines():
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
-        if stmt.startswith("named:"):
-            named = stmt[len("named:"):].split()
-        elif stmt.startswith("domain:"):
-            domain = stmt[len("domain:"):].split()
-        else:
-            lines.append(stmt)
-    from .syntax import parse_abox
-    if lines:
-        abox = parse_abox("\n".join(lines))
-        base = Interpretation.from_abox(abox)
-    else:
-        base = Interpretation.of(frozenset(domain or named), frozenset())
-    all_domain = frozenset(domain) | base.domain | frozenset(named)
-    return Interpretation(all_domain, frozenset(named), base.concept_ext, base.role_ext)
 
 
 # ---------------------------------------------------------------------------
@@ -285,31 +227,23 @@ def role_moves(i: Interpretation, role: Role) -> dict:
     return moves
 
 
-def _problem(s: Interpretation, g: Interpretation, inverse: bool) -> tuple:
-    """Candidate sets and arcs for mapping S into G: each source element
-    may take the target elements that carry its concept names, and each
-    source edge is an arc from its start, and with ``inverse`` also one
-    from its end."""
+def hom_problem(s: Interpretation, g: Interpretation, preserve: Iterable = ()) -> tuple:
+    """The homomorphism problem from S to G as ``(cand, arcs)`` for
+    ``arc_consistency``: each source element may take the target elements
+    that carry its concept names, an element of ``preserve`` only itself,
+    and every source edge gives an arc in both directions.  Its greatest
+    arc-consistent refinement is the greatest i-simulation."""
     cand = {d: g.domain.intersection(*map(g.concept, need))
             for d, need in element_labels(s).items()}
+    for d in preserve:
+        cand[d] = cand[d] & {d}
     arcs = {d: [] for d in s.domain}
     for name, pairs in s.role_ext.items():
         forward = role_moves(g, Role(name))
-        backward = role_moves(g, Role(name, True)) if inverse else None
+        backward = role_moves(g, Role(name, True))
         for a, b in pairs:
             arcs[a].append((b, forward))
-            if inverse:
-                arcs[b].append((a, backward))
-    return cand, arcs
-
-
-def hom_problem(s: Interpretation, g: Interpretation, preserve: Iterable = ()) -> tuple:
-    """The homomorphism problem from S to G as ``(cand, arcs)`` for
-    ``arc_consistency``: every source edge gives an arc in both directions,
-    and an element of ``preserve`` may only map to itself."""
-    cand, arcs = _problem(s, g, inverse=True)
-    for d in preserve:
-        cand[d] = cand[d] & {d}
+            arcs[b].append((a, backward))
     return cand, arcs
 
 
@@ -417,259 +351,3 @@ def find_homomorphism(s: Interpretation, g: Interpretation,
         raise RuntimeError("the homomorphism search returned a map that "
                            "is not a homomorphism")
     return h
-
-
-def find_simulation(s: Interpretation, g: Interpretation,
-                    variant: str = "plain") -> Optional[frozenset]:
-    """The greatest (i-)simulation containing (a, a) for every named
-    individual of the source, or None when no simulation exists.
-
-    The greatest simulation is the arc-consistent refinement of the
-    concept-compatible relation, with one arc per source edge along role
-    names (and along their inverses for the i-variant).
-    """
-    if variant not in ("plain", "i"):
-        raise ValueError("variant must be 'plain' or 'i'")
-    sim = arc_consistency(*_problem(s, g, inverse=variant == "i"))
-    if not all(a in g.named and a in sim[a] for a in s.named):
-        return None
-    return frozenset((d, e) for d, es in sim.items() for e in es)
-
-
-# ---------------------------------------------------------------------------
-# Unfolding (bounded slices)
-# ---------------------------------------------------------------------------
-
-def _tail(word):
-    return word[-1] if isinstance(word, tuple) else word
-
-
-def unfold(i: Interpretation, depth: int, variant: str = "i") -> Interpretation:
-    """The depth-bounded prefix of the (i-)unfolding.
-
-    Words start at named individuals and continue through anonymous
-    elements only; length-0 words are the named elements themselves, and
-    edges among them are kept as in I.  The i-variant walks role names and
-    inverses with the non-backtracking condition; the plain variant walks
-    role names only.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if variant not in ("plain", "i"):
-        raise ValueError("variant must be 'plain' or 'i'")
-    roles = sorted({Role(n) for n in i.role_ext} |
-                   ({Role(n, True) for n in i.role_ext} if variant == "i" else set()))
-    moves = {role: role_moves(i, role) for role in roles}
-    words = [d for d in sorted(i.named, key=_ekey)]
-    frontier = list(words)
-    edges = set()  # (word, Role, word), role as stored edge direction d -r-> e
-    for step in range(depth):
-        new_frontier = []
-        for w in frontier:
-            d = _tail(w)
-            prev = None
-            if isinstance(w, tuple) and len(w) >= 3:
-                prev = (w[-3], w[-2])  # (element, role used to reach tail)
-            for role in roles:
-                for e in sorted(moves[role].get(d, ()), key=_ekey):
-                    if e in i.named:
-                        continue  # words pass through anonymous elements only
-                    if variant == "i" and prev is not None:
-                        prev_elem, prev_role = prev
-                        if e == prev_elem and role == prev_role.inverse():
-                            continue
-                    w2 = w + (role, e) if isinstance(w, tuple) else (w, role, e)
-                    edges.add((w, role, w2))
-                    new_frontier.append(w2)
-        words.extend(new_frontier)
-        frontier = new_frontier
-        if not frontier:
-            break
-
-    domain = frozenset(words)
-    named = frozenset(i.named)
-    cext = {}
-    for name, ds in i.concept_ext.items():
-        cext[name] = frozenset(w for w in domain if _tail(w) in ds)
-    rext = {name: set() for name in i.role_ext}
-    for name, pairs in i.role_ext.items():
-        for a, b in pairs:
-            if a in named and b in named:
-                rext[name].add((a, b))
-    for w, role, w2 in edges:
-        if role.inverted:
-            rext.setdefault(role.name, set()).add((w2, w))
-        else:
-            rext.setdefault(role.name, set()).add((w, w2))
-    return Interpretation(domain, named, cext,
-                          {k: frozenset(v) for k, v in rext.items()})
-
-
-def unfold_tail_map(j: Interpretation) -> dict:
-    """The tail map of an unfolding slice, a homomorphism onto the source."""
-    return {w: _tail(w) for w in j.domain}
-
-
-# ---------------------------------------------------------------------------
-# ABox unraveling (bounded slices)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnravelingSlice:
-    """All unraveling individuals of length <= depth with the induced
-    assertions.  Words are the base individual (length 0) or tuples
-    ``(b0, r0, b1, ...)`` with Role objects at odd positions."""
-    base: ABox
-    depth: int
-    individuals: frozenset
-    concept_assertions: frozenset  # (name, word)
-    role_assertions: frozenset     # (name, word, word)
-
-    def tail(self, word):
-        return _tail(word)
-
-    def interpretation(self) -> Interpretation:
-        cext = {}
-        for n, w in self.concept_assertions:
-            cext.setdefault(n, set()).add(w)
-        rext = {}
-        for n, w1, w2 in self.role_assertions:
-            rext.setdefault(n, set()).add((w1, w2))
-        named = frozenset(w for w in self.individuals if not isinstance(w, tuple))
-        return Interpretation(self.individuals, named,
-                              {k: frozenset(v) for k, v in cext.items()},
-                              {k: frozenset(v) for k, v in rext.items()})
-
-    def to_abox(self) -> ABox:
-        m = _default_mangle
-        return ABox(frozenset((n, m(w)) for n, w in self.concept_assertions),
-                    frozenset((n, m(a), m(b)) for n, a, b in self.role_assertions))
-
-
-def unravel_abox(abox: ABox, depth: int) -> UnravelingSlice:
-    """The depth-bounded slice of the unraveling: non-backtracking
-    role-or-inverse walks through the data, concept labels copied to every
-    word with the same tail, and one role assertion per word extension."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    roles = sorted({Role(n) for n in abox.role_names()} |
-                   {Role(n, True) for n in abox.role_names()})
-    succ = {}
-    for name, a, b in abox.role_assertions:
-        succ.setdefault((a, Role(name)), set()).add(b)
-        succ.setdefault((b, Role(name, True)), set()).add(a)
-
-    inds = sorted(abox.individuals())
-    words = list(inds)
-    role_assertions = set()
-    frontier = list(inds)
-    for _ in range(depth):
-        new_frontier = []
-        for w in frontier:
-            b = _tail(w)
-            prev = None
-            if isinstance(w, tuple) and len(w) >= 3:
-                prev = (w[-3], w[-2])
-            for role in roles:
-                for b2 in sorted(succ.get((b, role), ()), key=str):
-                    if prev is not None and b2 == prev[0] and role == prev[1].inverse():
-                        continue  # (b_{i-1}, r_{i-1}^-) != (b_{i+1}, r_i)
-                    w2 = w + (role, b2) if isinstance(w, tuple) else (w, role, b2)
-                    if role.inverted:
-                        role_assertions.add((role.name, w2, w))
-                    else:
-                        role_assertions.add((role.name, w, w2))
-                    new_frontier.append(w2)
-        words.extend(new_frontier)
-        frontier = new_frontier
-        if not frontier:
-            break
-
-    by_tail = {}
-    for w in words:
-        by_tail.setdefault(_tail(w), []).append(w)
-    concept_assertions = set()
-    for name, b in abox.concept_assertions:
-        for w in by_tail.get(b, ()):
-            concept_assertions.add((name, w))
-    return UnravelingSlice(abox, depth, frozenset(words),
-                           frozenset(concept_assertions), frozenset(role_assertions))
-
-
-# ---------------------------------------------------------------------------
-# Bounded countermodel search (the "bruteforce" engine's core)
-# ---------------------------------------------------------------------------
-
-def enumerate_interpretations(domain, concepts, roles, fixed_edges=frozenset(),
-                              named=None):
-    """All interpretations over ``domain`` whose role extensions extend
-    ``fixed_edges`` by nothing (edges fixed) and whose concept extensions
-    range over all subsets.  Deterministic order."""
-    import itertools
-    domain = sorted(domain, key=_ekey)
-    named = frozenset(domain if named is None else named)
-    rext = {}
-    for name, a, b in fixed_edges:
-        rext.setdefault(name, set()).add((a, b))
-    for name in roles:
-        rext.setdefault(name, set())
-    concepts = sorted(concepts)
-    subsets = list(itertools.chain.from_iterable(
-        itertools.combinations(domain, k) for k in range(len(domain) + 1)))
-    for assignment in itertools.product(subsets, repeat=len(concepts)):
-        cext = {c: frozenset(s) for c, s in zip(concepts, assignment)}
-        yield Interpretation(frozenset(domain), named, cext,
-                             {k: frozenset(v) for k, v in rext.items()})
-
-
-def bruteforce_certain_answer(t: TBox, abox: ABox, q: Query, answers: tuple) -> tuple:
-    """Search for a countermodel among interpretations whose domain is
-    Ind(A) and whose role edges are exactly those of A, with concept
-    extensions ranging over all subsets.
-
-    Returns (holds, complete): a found countermodel refutes soundly
-    (holds=False is exact); holds=True only exhausts the searched class,
-    so it comes flagged with complete=False unless the class is empty.
-    """
-    sig_concepts = sorted(t.concept_names() |
-                          _query_concept_names(q) | abox.concept_names())
-    base = Interpretation.from_abox(abox)
-    for i in enumerate_interpretations(base.domain, sig_concepts, base.role_ext.keys(),
-                                       fixed_edges=abox.role_assertions):
-        # concept assertions of A must hold
-        if not all(a in i.concept(n) for n, a in abox.concept_assertions):
-            continue
-        if not is_model(i, t):
-            continue
-        if not match_query(i, q, answers):
-            return (False, True)
-    return (True, False)
-
-
-def _query_concept_names(q: Query) -> set[str]:
-    from .syntax import concept_names
-    if isinstance(q, (ELIQ, ELQ)):
-        return concept_names(q.concept)
-    if isinstance(q, CQ):
-        return {n for n, _ in q.concept_atoms}
-    if isinstance(q, UCQ):
-        out = set()
-        for d in q.disjuncts:
-            out |= _query_concept_names(d)
-        return out
-    if isinstance(q, PEQ):
-        out = set()
-
-        def walk(f):
-            if isinstance(f, PAtom):
-                if len(f.args) == 1:
-                    out.add(f.pred)
-            elif isinstance(f, (PAnd, POr)):
-                walk(f.left)
-                walk(f.right)
-            else:
-                walk(f.body)
-
-        walk(q.formula)
-        return out
-    raise TypeError(f"not a query: {q!r}")

@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# individuals may carry dots: the chase renders compound names like a.r.C
-INDIVIDUAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 KEYWORDS = {"top", "bot", "not", "and", "or", "implies", "some", "all",
             "inv", "sub", "func", "exists"}
@@ -430,12 +428,6 @@ class PEQ:
 Query = Union[ELIQ, ELQ, CQ, UCQ, PEQ]
 
 
-def query_arity(q: Query) -> int:
-    if isinstance(q, (ELIQ, ELQ)):
-        return 1
-    return len(q.answer_vars)
-
-
 def free_vars(f: PFormula) -> set[str]:
     if isinstance(f, PAtom):
         return set(f.args)
@@ -600,6 +592,7 @@ def parse_tbox(text: str) -> TBox:
     return TBox(frozenset(inclusions), frozenset(functional))
 
 
+# individuals may carry dots: the chase renders compound names like a.r.C
 _ASSERTION_RE = re.compile(
     r"(?P<pred>[A-Za-z_][A-Za-z0-9_.]*)\s*\(\s*(?P<a>[A-Za-z_][A-Za-z0-9_.]*)\s*"
     r"(?:,\s*(?P<b>[A-Za-z_][A-Za-z0-9_.]*)\s*)?\)")
@@ -968,40 +961,3 @@ def eliq_to_cq(q) -> CQ:
 
     walk(q.concept, q.var)
     return CQ.of(concept_atoms, role_atoms, (q.var,))
-
-
-def cq_to_eli_concept(q: CQ) -> Concept:
-    """Inverse of eliq_to_cq for tree-shaped single-answer-variable CQs.
-
-    Raises ValueError when the CQ is not tree-shaped from its answer
-    variable (cycles, disconnected parts, or multiple answer variables).
-    """
-    if len(q.answer_vars) != 1:
-        raise ValueError("need exactly one answer variable")
-    root = q.answer_vars[0]
-    adj = {}
-    for name, x, y in q.role_atoms:
-        adj.setdefault(x, []).append((Role(name), y, (name, x, y)))
-        adj.setdefault(y, []).append((Role(name, True), x, (name, x, y)))
-    labels = {}
-    for name, v in q.concept_atoms:
-        labels.setdefault(v, []).append(name)
-    used_edges = set()
-    visited = set()
-
-    def build(var) -> Concept:
-        visited.add(var)
-        parts = [Atom(n) for n in sorted(labels.get(var, []))]
-        for role, other, edge in sorted(adj.get(var, []), key=lambda t: (t[0], t[1])):
-            if edge in used_edges:
-                continue
-            if other in visited:
-                raise ValueError("CQ is not tree-shaped (cycle)")
-            used_edges.add(edge)
-            parts.append(Exists(role, build(other)))
-        return conjoin(parts)
-
-    c = build(root)
-    if visited != q.variables():
-        raise ValueError("CQ is not connected to the answer variable")
-    return c

@@ -1,13 +1,12 @@
 """The type machinery: negation closure, the set of TBox/query types,
-the role successor relation between types, and the satisfiability oracle
-underpinning them.
+the role successor relation between types, and certain answers to tree
+queries by the tableau.
 
 A type is the set of closure members true at some element of some model
 of the TBox; it is represented as a frozenset of concepts containing, for
 every closure member, either the member or its (single) negation.
 
-``is_satisfiable``/``kb_consistent`` always run the tableau.  Type-set
-computation additionally has a type-elimination fast path used when the
+Type-set computation has a type-elimination fast path used when the
 TBox has no functionality assertions (where elimination is sound and
 complete and computes the successor relation as a byproduct); with
 functional roles each candidate is checked by the tableau instead.
@@ -174,32 +173,6 @@ def _eliminate(candidates, cl) -> list:
 # Public operations
 # ---------------------------------------------------------------------------
 
-_SAT_CACHE: dict = {}
-
-
-def is_satisfiable(concept: Concept, tbox: TBox,
-                   budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Tableau decision of concept satisfiability w.r.t. the TBox.
-
-    Budget overruns raise BudgetExceededError and are never reported as a
-    truth value.  Results are memoized per (TBox, concept); correctness
-    does not depend on the cache.
-    """
-    key = (tbox, concept)
-    hit = _SAT_CACHE.get(key)
-    if hit is None:
-        hit = satisfiable(concept, tbox, budget)
-        _SAT_CACHE[key] = hit
-    return hit
-
-
-def kb_consistent(tbox: TBox, abox: ABox,
-                  budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """True iff the TBox and ABox have a joint model (standard names:
-    distinct individuals are distinct elements)."""
-    return abox_consistent(tbox, abox, budget=budget)
-
-
 def entails_eliq(tbox: TBox, abox: ABox, concept: Concept, individual: str,
                  budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Certain answer for the query concept at the individual, decided as
@@ -231,7 +204,7 @@ def compute_types(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> frozenset
         return frozenset(_eliminate(candidates, cl))
     out = []
     for t in candidates:
-        if is_satisfiable(conjoin(sorted(t, key=concept_sort_key)), tbox, budget):
+        if satisfiable(conjoin(sorted(t, key=concept_sort_key)), tbox, budget):
             out.append(t)
     return frozenset(out)
 
@@ -261,7 +234,7 @@ def succ_relation(tbox: TBox, q, types: frozenset,
                 if not _compatible(t, role, t2):
                     continue  # sound pre-filter: necessary conditions
                 witness = And(ct, Exists(role, ct2))
-                if is_satisfiable(witness, tbox, budget):
+                if satisfiable(witness, tbox, budget):
                     out.add((t, role, t2))
     return frozenset(out)
 
@@ -278,7 +251,7 @@ def types_omitting(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> frozense
         return frozenset(_eliminate(candidates, cl))
     out = []
     for t in candidates:
-        if is_satisfiable(conjoin(sorted(t, key=concept_sort_key)), extended, budget):
+        if satisfiable(conjoin(sorted(t, key=concept_sort_key)), extended, budget):
             out.append(t)
     return frozenset(out)
 
@@ -290,10 +263,3 @@ def omitting_succ_relation(tbox: TBox, q, types: frozenset,
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     extended = TBox(tbox.inclusions | {(Top(), Not(c0))}, tbox.functional)
     return succ_relation(extended, c0, types, budget)
-
-
-def realized_type(cl, interpretation, element) -> frozenset:
-    """The set of closure members true at the element (test utility and
-    the semantic counterpart of compute_types)."""
-    from .semantics import eval_concept
-    return frozenset(c for c in cl if element in eval_concept(interpretation, c))

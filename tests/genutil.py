@@ -147,6 +147,17 @@ def rand_abox(rng, n_individuals=4, n_assertions=6, concepts=DEFAULT_CONCEPTS,
     return ABox(frozenset(cas), frozenset(ras))
 
 
+def gen_cycle_abox(n: int, symmetric: bool = False) -> ABox:
+    """An n-cycle over role r; symmetric adds both edge directions."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    names = [f"a{i}" for i in range(n)]
+    ras = {("r", names[i], names[(i + 1) % n]) for i in range(n)}
+    if symmetric:
+        ras |= {("r", names[(i + 1) % n], names[i]) for i in range(n)}
+    return ABox(frozenset(), frozenset(ras))
+
+
 def rand_interpretation(rng, size=4, concepts=DEFAULT_CONCEPTS, roles=DEFAULT_ROLES,
                         named_fraction=1.0):
     n = rng.randint(1, size)

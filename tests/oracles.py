@@ -1,0 +1,261 @@
+"""Reference implementations that the tests compare the library against.
+
+None of these is used by an engine: each is the plain, slow or bounded
+form of a question that ``omq`` decides another way.
+"""
+
+import itertools
+from dataclasses import dataclass
+
+from omq.semantics import Interpretation, eval_concept, is_model, match_query
+from omq.syntax import (
+    ABox, Atom, CQ, Concept, ELIQ, ELQ, Exists, PAnd, PAtom, PEQ, POr, Query,
+    Role, TBox, UCQ, concept_names, conjoin,
+)
+
+
+# ---------------------------------------------------------------------------
+# Bounded countermodel search
+# ---------------------------------------------------------------------------
+
+def enumerate_interpretations(domain, concepts, roles, fixed_edges=frozenset(),
+                              named=None):
+    """All interpretations over ``domain`` whose role extensions extend
+    ``fixed_edges`` by nothing (edges fixed) and whose concept extensions
+    range over all subsets.  Deterministic order."""
+    domain = sorted(domain, key=str)
+    named = frozenset(domain if named is None else named)
+    rext = {}
+    for name, a, b in fixed_edges:
+        rext.setdefault(name, set()).add((a, b))
+    for name in roles:
+        rext.setdefault(name, set())
+    concepts = sorted(concepts)
+    subsets = list(itertools.chain.from_iterable(
+        itertools.combinations(domain, k) for k in range(len(domain) + 1)))
+    for assignment in itertools.product(subsets, repeat=len(concepts)):
+        cext = {c: frozenset(s) for c, s in zip(concepts, assignment)}
+        yield Interpretation(frozenset(domain), named, cext,
+                             {k: frozenset(v) for k, v in rext.items()})
+
+
+def bruteforce_certain_answer(t: TBox, abox: ABox, q: Query, answers: tuple) -> tuple:
+    """Search for a countermodel among interpretations whose domain is
+    Ind(A) and whose role edges are exactly those of A, with concept
+    extensions ranging over all subsets.
+
+    Returns (holds, complete): a found countermodel refutes soundly
+    (holds=False is exact); holds=True only exhausts the searched class,
+    so it comes flagged with complete=False unless the class is empty.
+    """
+    sig_concepts = sorted(t.concept_names() |
+                          _query_concept_names(q) | abox.concept_names())
+    base = Interpretation.from_abox(abox)
+    for i in enumerate_interpretations(base.domain, sig_concepts, base.role_ext.keys(),
+                                       fixed_edges=abox.role_assertions):
+        # concept assertions of A must hold
+        if not all(a in i.concept(n) for n, a in abox.concept_assertions):
+            continue
+        if not is_model(i, t):
+            continue
+        if not match_query(i, q, answers):
+            return (False, True)
+    return (True, False)
+
+
+def _query_concept_names(q: Query) -> set[str]:
+    if isinstance(q, (ELIQ, ELQ)):
+        return concept_names(q.concept)
+    if isinstance(q, CQ):
+        return {n for n, _ in q.concept_atoms}
+    if isinstance(q, UCQ):
+        out = set()
+        for d in q.disjuncts:
+            out |= _query_concept_names(d)
+        return out
+    if isinstance(q, PEQ):
+        out = set()
+
+        def walk(f):
+            if isinstance(f, PAtom):
+                if len(f.args) == 1:
+                    out.add(f.pred)
+            elif isinstance(f, (PAnd, POr)):
+                walk(f.left)
+                walk(f.right)
+            else:
+                walk(f.body)
+
+        walk(q.formula)
+        return out
+    raise TypeError(f"not a query: {q!r}")
+
+
+# ---------------------------------------------------------------------------
+# ABox unraveling (bounded slices)
+# ---------------------------------------------------------------------------
+
+def _tail(word):
+    return word[-1] if isinstance(word, tuple) else word
+
+
+@dataclass(frozen=True)
+class UnravelingSlice:
+    """All unraveling individuals of length <= depth with the induced
+    assertions.  Words are the base individual (length 0) or tuples
+    ``(b0, r0, b1, ...)`` with Role objects at odd positions."""
+    base: ABox
+    depth: int
+    individuals: frozenset
+    concept_assertions: frozenset  # (name, word)
+    role_assertions: frozenset     # (name, word, word)
+
+    def tail(self, word):
+        return _tail(word)
+
+
+def unravel_abox(abox: ABox, depth: int) -> UnravelingSlice:
+    """The depth-bounded slice of the unraveling: non-backtracking
+    role-or-inverse walks through the data, concept labels copied to every
+    word with the same tail, and one role assertion per word extension."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    roles = sorted({Role(n) for n in abox.role_names()} |
+                   {Role(n, True) for n in abox.role_names()})
+    succ = {}
+    for name, a, b in abox.role_assertions:
+        succ.setdefault((a, Role(name)), set()).add(b)
+        succ.setdefault((b, Role(name, True)), set()).add(a)
+
+    inds = sorted(abox.individuals())
+    words = list(inds)
+    role_assertions = set()
+    frontier = list(inds)
+    for _ in range(depth):
+        new_frontier = []
+        for w in frontier:
+            b = _tail(w)
+            prev = None
+            if isinstance(w, tuple) and len(w) >= 3:
+                prev = (w[-3], w[-2])
+            for role in roles:
+                for b2 in sorted(succ.get((b, role), ()), key=str):
+                    if prev is not None and b2 == prev[0] and role == prev[1].inverse():
+                        continue  # (b_{i-1}, r_{i-1}^-) != (b_{i+1}, r_i)
+                    w2 = w + (role, b2) if isinstance(w, tuple) else (w, role, b2)
+                    if role.inverted:
+                        role_assertions.add((role.name, w2, w))
+                    else:
+                        role_assertions.add((role.name, w, w2))
+                    new_frontier.append(w2)
+        words.extend(new_frontier)
+        frontier = new_frontier
+        if not frontier:
+            break
+
+    by_tail = {}
+    for w in words:
+        by_tail.setdefault(_tail(w), []).append(w)
+    concept_assertions = set()
+    for name, b in abox.concept_assertions:
+        for w in by_tail.get(b, ()):
+            concept_assertions.add((name, w))
+    return UnravelingSlice(abox, depth, frozenset(words),
+                           frozenset(concept_assertions), frozenset(role_assertions))
+
+
+# ---------------------------------------------------------------------------
+# Types, ABox isomorphism and tree-shaped CQs
+# ---------------------------------------------------------------------------
+
+def realized_type(cl, interpretation, element) -> frozenset:
+    """The set of closure members true at the element: the semantic
+    counterpart of ``types.compute_types``."""
+    return frozenset(c for c in cl if element in eval_concept(interpretation, c))
+
+
+def abox_isomorphic(a: ABox, b: ABox) -> bool:
+    """Exact isomorphism of ABoxes (bijective, assertion-preserving both
+    ways); backtracking over degree-compatible bijections."""
+    ia, ib = sorted(a.individuals()), sorted(b.individuals())
+    if len(ia) != len(ib):
+        return False
+    if len(a.concept_assertions) != len(b.concept_assertions):
+        return False
+    if len(a.role_assertions) != len(b.role_assertions):
+        return False
+
+    def signature(abox, x):
+        labels = frozenset(n for n, y in abox.concept_assertions if y == x)
+        out = sorted(n for n, y, _ in abox.role_assertions if y == x)
+        inc = sorted(n for n, _, y in abox.role_assertions if y == x)
+        return (labels, tuple(out), tuple(inc))
+
+    sig_a = {x: signature(a, x) for x in ia}
+    sig_b = {x: signature(b, x) for x in ib}
+    if sorted(sig_a.values()) != sorted(sig_b.values()):
+        return False
+    candidates = {x: [y for y in ib if sig_b[y] == sig_a[x]] for x in ia}
+
+    def check(mapping):
+        for n, x in a.concept_assertions:
+            if (n, mapping[x]) not in b.concept_assertions:
+                return False
+        for n, x, y in a.role_assertions:
+            if (n, mapping[x], mapping[y]) not in b.role_assertions:
+                return False
+        return True
+
+    def search(k, mapping, taken):
+        if k == len(ia):
+            return check(mapping)
+        x = ia[k]
+        for y in candidates[x]:
+            if y in taken:
+                continue
+            mapping[x] = y
+            taken.add(y)
+            if search(k + 1, mapping, taken):
+                return True
+            taken.discard(y)
+            del mapping[x]
+        return False
+
+    return search(0, {}, set())
+
+
+def cq_to_eli_concept(q: CQ) -> Concept:
+    """Inverse of eliq_to_cq for tree-shaped single-answer-variable CQs.
+
+    Raises ValueError when the CQ is not tree-shaped from its answer
+    variable (cycles, disconnected parts, or multiple answer variables).
+    """
+    if len(q.answer_vars) != 1:
+        raise ValueError("need exactly one answer variable")
+    root = q.answer_vars[0]
+    adj = {}
+    for name, x, y in q.role_atoms:
+        adj.setdefault(x, []).append((Role(name), y, (name, x, y)))
+        adj.setdefault(y, []).append((Role(name, True), x, (name, x, y)))
+    labels = {}
+    for name, v in q.concept_atoms:
+        labels.setdefault(v, []).append(name)
+    used_edges = set()
+    visited = set()
+
+    def build(var) -> Concept:
+        visited.add(var)
+        parts = [Atom(n) for n in sorted(labels.get(var, []))]
+        for role, other, edge in sorted(adj.get(var, []), key=lambda t: (t[0], t[1])):
+            if edge in used_edges:
+                continue
+            if other in visited:
+                raise ValueError("CQ is not tree-shaped (cycle)")
+            used_edges.add(edge)
+            parts.append(Exists(role, build(other)))
+        return conjoin(parts)
+
+    c = build(root)
+    if visited != q.variables():
+        raise ValueError("CQ is not connected to the answer variable")
+    return c

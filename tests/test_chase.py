@@ -12,9 +12,10 @@ from omq.chase import (
     ChaseInd, Completion, InconclusiveError, complete, horn_certain_answer_cq,
     horn_entails_eliq, normalize_horn, syntactic_match,
 )
-from omq.types import kb_consistent
+from omq.tableau import abox_consistent
 
 from genutil import rand_abox, rand_horn_tbox
+from oracles import enumerate_interpretations
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -88,7 +89,7 @@ def test_kb_consistent_iff_not_bottom():
         if c.status != "complete":
             continue
         both += 1
-        assert kb_consistent(t, a) == (not c.bottom)
+        assert abox_consistent(t, a) == (not c.bottom)
     assert both > 100
 
 
@@ -96,7 +97,6 @@ def test_rule_soundness_on_small_models():
     # every model of T and A (over Ind(A), edges fixed) satisfies each
     # derived atomic assertion at its individual
     rng = random.Random(140)
-    from omq.semantics import enumerate_interpretations
     checked = 0
     for _ in range(60):
         t = rand_horn_tbox(rng, n_inclusions=2, depth=1, concepts=("A", "B"),

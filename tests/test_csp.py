@@ -7,19 +7,23 @@ from omq.syntax import (
     ABox, And, Atom, Bot, ELIQ, Exists, Forall, Not, Or, Role, TBox, Top,
     concept_depth, is_depth_one, parse_abox, parse_tbox,
 )
-from omq.semantics import Interpretation, is_model
-from omq.types import entails_eliq, kb_consistent
+from omq.semantics import Interpretation, arc_consistency, hom_problem, is_model
+from omq.tableau import abox_consistent
+from omq.types import entails_eliq
 from omq.csp import (
     AbstractionMap, Signature, Template, admits_trivial_models,
     booleanize_eliq, certain_answer_eliq_csp, certain_boolean_eliq_csp,
-    csp_arc_consistent, csp_hom, enriched_abstraction, restrict_abox,
+    csp_hom, enriched_abstraction, restrict_abox,
     tbox_from_template, template_entails_marker, template_from_omq,
     unraveling_entails,
 )
-from omq.analysis import abox_isomorphic, gen_cycle_abox, gen_kcolor_tbox
+from omq.analysis import gen_kcolor_tbox
 from omq.chase import horn_entails_eliq
 
-from genutil import rand_abox, rand_eli_concept, rand_horn_tbox
+from genutil import (
+    gen_cycle_abox, rand_abox, rand_eli_concept, rand_horn_tbox, rand_tbox,
+)
+from oracles import abox_isomorphic, unravel_abox
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -42,6 +46,13 @@ def brute_hom_exists(abox, template):
         if ok:
             return True
     return False
+
+
+def arc_consistent(abox, template):
+    """Plain arc consistency of the homomorphism problem: False means
+    provably no homomorphism; True is only a maybe on cyclic inputs."""
+    problem = hom_problem(Interpretation.from_abox(abox), template.interpretation())
+    return all(arc_consistency(*problem).values())
 
 
 def brute_colorable(abox, k):
@@ -127,13 +138,13 @@ def test_arc_consistency_exact_on_trees():
         t_abox = rand_abox(rng, n_individuals=3, n_assertions=5,
                            concepts=("A",), roles=("r",))
         tmpl = Template.of(t_abox, Signature.of(("A",), ("r",)))
-        assert csp_arc_consistent(a, tmpl) == (csp_hom(a, tmpl) is not None)
+        assert arc_consistent(a, tmpl) == (csp_hom(a, tmpl) is not None)
 
 
 def test_arc_consistency_sound_on_cycles():
-    assert csp_arc_consistent(gen_cycle_abox(4), C2)
+    assert arc_consistent(gen_cycle_abox(4), C2)
     # odd cycles slip past plain AC (the classic incompleteness)
-    assert csp_arc_consistent(gen_cycle_abox(3), C2)
+    assert arc_consistent(gen_cycle_abox(3), C2)
     assert csp_hom(gen_cycle_abox(3), C2) is None
 
 
@@ -304,6 +315,29 @@ def test_unraveling_sound_for_entailment():
                 assert entails_eliq(t, a, q_concept, ind)
 
 
+def test_unraveling_entails_agrees_with_explicit_slices():
+    # the depth-k slices are finite parts of the unraveling: their answers
+    # grow with k, never exceed the exact one, and reach it by depth 3 here
+    rng = random.Random(5)
+    entailed = 0
+    for _ in range(150):
+        t = rand_tbox(rng, n_inclusions=3, depth=1, roles=("r", "s"))
+        a = rand_abox(rng, n_individuals=3, n_assertions=5, roles=("r", "s"))
+        c = rand_eli_concept(rng, depth=2, roles=("r", "s"))
+        _, marked, q = booleanize_eliq(t, a, c, sorted(a.individuals())[0])
+        tmpl = template_from_omq(t, q)
+        exact = unraveling_entails(t, q, marked, template=tmpl)
+        sliced = []
+        for k in range(4):
+            u = unravel_abox(restrict_abox(marked, tmpl.signature), k)
+            sliced.append(certain_boolean_eliq_csp(
+                t, ABox(u.concept_assertions, u.role_assertions), q, template=tmpl))
+        assert sliced == sorted(sliced), (t, a, c)
+        assert sliced[-1] == exact, (t, a, c)
+        entailed += exact
+    assert 0 < entailed < 150
+
+
 # -- enriched abstraction -----------------------------------------------------
 
 def test_abstraction_no_hidden_names():
@@ -413,7 +447,7 @@ def test_encoding_three_way_equivalence_small():
                       concepts=(), roles=("r",))
         restricted = restrict_abox(a, enc.sigma)
         hom = csp_hom(restricted, C2) is not None
-        consistent = kb_consistent(enc.tbox, a)
+        consistent = abox_consistent(enc.tbox, a)
         entailed = template_entails_marker(enc, a)
         assert hom == brute_hom_exists(restricted, C2), a
         assert hom == consistent == (not entailed), a

@@ -8,14 +8,14 @@ from omq.syntax import (
     Top, eliq_to_cq, parse_abox, parse_tbox, peq_to_ucq,
 )
 from omq.semantics import (
-    Interpretation, bruteforce_certain_answer, eval_concept, find_homomorphism,
-    find_simulation, interpretation_from_text, interpretation_to_text, is_model,
-    match_query, unfold, unfold_tail_map, unravel_abox,
+    Interpretation, arc_consistency, eval_concept, find_homomorphism,
+    hom_problem, is_model, match_query,
 )
 
 from genutil import (
     rand_abox, rand_eli_concept, rand_interpretation, rand_peq,
 )
+from oracles import bruteforce_certain_answer, unravel_abox
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
@@ -179,11 +179,21 @@ def test_hom_matches_bruteforce_on_random():
                 assert all((got[a], got[b]) in t for a, b in pairs)
 
 
-# -- find_simulation --------------------------------------------------------
+# -- simulations on the kernel ----------------------------------------------
+
+def greatest_i_simulation(s, g):
+    """The greatest i-simulation from S to G, or None when it misses (a, a)
+    for some named a of S: the arc-consistent refinement of the
+    homomorphism problem."""
+    sim = arc_consistency(*hom_problem(s, g))
+    if not all(a in g.named and a in sim[a] for a in s.named):
+        return None
+    return frozenset((d, e) for d, es in sim.items() for e in es)
+
 
 def test_simulation_identity():
     i = Interpretation.from_abox(parse_abox("A(a)\nr(a,b)"))
-    rel = find_simulation(i, i)
+    rel = greatest_i_simulation(i, i)
     assert rel is not None
     assert all((a, a) in rel for a in i.named)
 
@@ -195,10 +205,10 @@ def test_simulation_monotone_under_extension():
         extra = dict(i.role_ext)
         extra["r"] = extra.get("r", frozenset()) | {(d, d) for d in i.domain}
         j = Interpretation(i.domain, i.named, i.concept_ext, extra)
-        assert find_simulation(i, j) is not None
+        assert greatest_i_simulation(i, j) is not None
 
 
-def greatest_simulation_reference(s, g, variant):
+def greatest_simulation_reference(s, g):
     """Oracle: refine the concept-compatible relation pair by pair until
     every pair's role obligations have a matching move."""
     slabels = {d: set() for d in s.domain}
@@ -211,8 +221,7 @@ def greatest_simulation_reference(s, g, variant):
             if d in glabels:
                 glabels[d].add(name)
     rel = {(d, e) for d in s.domain for e in g.domain if slabels[d] <= glabels[e]}
-    roles = sorted({Role(n) for n in s.role_ext} |
-                   ({Role(n, True) for n in s.role_ext} if variant == "i" else set()))
+    roles = sorted({Role(n) for n in s.role_ext} | {Role(n, True) for n in s.role_ext})
     moves_s = {}
     moves_g = {}
     for role in roles:
@@ -237,16 +246,15 @@ def greatest_simulation_reference(s, g, variant):
 def test_simulation_is_greatest_random():
     rng = random.Random(12)
     found = 0
-    for _ in range(300):
+    for _ in range(600):
         src = rand_interpretation(rng, size=4, named_fraction=rng.random())
         tgt = rand_interpretation(rng, size=4, named_fraction=rng.random())
         if rng.random() < 0.5:
             tgt = Interpretation(tgt.domain | src.domain, tgt.named | src.named,
                                  tgt.concept_ext, tgt.role_ext)
-        for variant in ("plain", "i"):
-            got = find_simulation(src, tgt, variant)
-            assert got == greatest_simulation_reference(src, tgt, variant)
-            found += got is not None
+        got = greatest_i_simulation(src, tgt)
+        assert got == greatest_simulation_reference(src, tgt)
+        found += got is not None
     assert found > 50
 
 
@@ -259,13 +267,25 @@ def ex5b_loop_model():
         {"r": {("a", "d"), ("b", "d"), ("d", "d")}})
 
 
+def ex5b_path_model(depth):
+    # the looping witness unfolded into one r-path of A-elements below each
+    # named individual
+    paths = {x: [x] + [f"{x}{k}" for k in range(1, depth + 1)] for x in "ab"}
+    return Interpretation.of(
+        {e for path in paths.values() for e in path}, {"a", "b"},
+        {"A": {e for path in paths.values() for e in path},
+         "B1": {"a"}, "B2": {"b"}},
+        {"r": {(path[k], path[k + 1]) for path in paths.values()
+               for k in range(depth)}})
+
+
 def test_ex5b_slice_simulation_directionality():
     loop = ex5b_loop_model()
-    slice3 = unfold(loop, 3, "i")
+    slice3 = ex5b_path_model(3)
     # the unfolded path model i-simulates into the looped model ...
-    assert find_simulation(slice3, loop, "i") is not None
+    assert greatest_i_simulation(slice3, loop) is not None
     # ... but not conversely: the loop cannot i-simulate into a finite slice
-    assert find_simulation(loop, slice3, "i") is None
+    assert greatest_i_simulation(loop, slice3) is None
     # and the ELIQ difference witnesses the directionality
     q = ELIQ(And(Atom("B1"), Exists(r, Exists(rinv, Atom("B2")))), "x")
     assert match_query(loop, q, ("a",))
@@ -273,23 +293,21 @@ def test_ex5b_slice_simulation_directionality():
 
 
 def test_simulation_soundness_random():
-    # if a simulation exists then every ELQ true at a named individual of S
-    # holds at it in G; likewise i-simulation/ELIQ
+    # if an i-simulation exists then every ELIQ true at a named individual
+    # of S holds at it in G
     rng = random.Random(55)
     checked = 0
     for _ in range(400):
         src = rand_interpretation(rng, size=3)
         tgt = rand_interpretation(rng, size=4)
-        for variant in ("plain", "i"):
-            rel = find_simulation(src, tgt, variant)
-            if rel is None:
-                continue
-            checked += 1
-            for _k in range(5):
-                c = rand_eli_concept(rng, depth=2, allow_inverse=(variant == "i"))
-                for a in sorted(src.named):
-                    if a in eval_concept(src, c):
-                        assert a in eval_concept(tgt, c)
+        if greatest_i_simulation(src, tgt) is None:
+            continue
+        checked += 1
+        for _k in range(5):
+            c = rand_eli_concept(rng, depth=2)
+            for a in sorted(src.named):
+                if a in eval_concept(src, c):
+                    assert a in eval_concept(tgt, c)
     assert checked > 20
 
 
@@ -319,62 +337,6 @@ def test_hom_soundness_peq_random():
                 if match_query(src, q, (a,)):
                     assert match_query(tgt, q, (a,))
     assert checked > 20
-
-
-# -- unfold -----------------------------------------------------------------
-
-def test_unfold_depth0():
-    i = ex5b_loop_model()
-    j = unfold(i, 0)
-    assert j.domain == {"a", "b"}
-    assert j.role_ext.get("r", frozenset()) == frozenset()
-    assert j.concept("B1") == {"a"}
-
-
-def test_unfold_named_loop_is_fixpoint():
-    # every element named: there is nothing to unfold, the ABox part stays
-    i = Interpretation.from_abox(parse_abox("r(a,a)"))
-    for depth in (0, 1, 2, 5):
-        j = unfold(i, depth, "i")
-        assert j.domain == {"a"}
-        assert j.role_ext["r"] == {("a", "a")}
-
-
-def test_unfold_anonymous_loop_gives_path():
-    # anonymous loop below a named root unravels into a path
-    i = Interpretation.of({"a", "d"}, {"a"}, {"A": {"d"}},
-                          {"r": {("a", "d"), ("d", "d")}})
-    j = unfold(i, 2, "i")
-    w1 = ("a", r, "d")
-    w2 = ("a", r, "d", r, "d")
-    w3 = ("a", r, "d", rinv, "d")
-    assert j.domain == {"a", w1, w2, w3}
-    assert ("a", w1) in j.role_ext["r"] and (w1, w2) in j.role_ext["r"]
-    # the r-inverse step goes backwards over the loop edge
-    assert (w3, w1) in j.role_ext["r"]
-    assert j.concept("A") == {w1, w2, w3}
-
-
-def test_unfold_plain_variant_uses_role_names_only():
-    i = Interpretation.of({"a", "d"}, {"a"}, {}, {"r": {("d", "d"), ("a", "d")}})
-    j = unfold(i, 2, "plain")
-    assert ("a", r, "d", rinv, "d") not in j.domain
-    assert ("a", r, "d", r, "d") in j.domain
-
-
-def test_unfold_tail_is_homomorphism():
-    rng = random.Random(10)
-    for _ in range(100):
-        i = rand_interpretation(rng, size=4, named_fraction=0.5)
-        j = unfold(i, rng.randint(0, 3), rng.choice(["plain", "i"]))
-        h = unfold_tail_map(j)
-        for a in j.named:
-            assert h[a] == a
-        for name, ds in j.concept_ext.items():
-            assert all(h[d] in i.concept(name) for d in ds)
-        for name, pairs in j.role_ext.items():
-            tgt = i.role_ext.get(name, frozenset())
-            assert all((h[a], h[b]) in tgt for a, b in pairs)
 
 
 # -- unravel_abox -----------------------------------------------------------
@@ -430,17 +392,6 @@ def test_unravel_monotone_and_tail_hom():
             assert (n, u2.tail(w1), u2.tail(w2)) in a.role_assertions
         for b in a.individuals():
             assert u2.tail(b) == b
-
-
-# -- serialization ----------------------------------------------------------
-
-def test_interpretation_text_roundtrip():
-    i = ex5b_loop_model()
-    j = interpretation_from_text(interpretation_to_text(i))
-    assert j.named == i.named
-    assert j.domain == i.domain
-    assert j.concept_ext == i.concept_ext
-    assert j.role_ext == i.role_ext
 
 
 # -- bruteforce engine ------------------------------------------------------

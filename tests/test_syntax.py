@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -5,13 +7,14 @@ import pytest
 from omq.syntax import (
     ABox, And, Atom, Bot, CQ, ELIQ, ELQ, Exists, Forall, Implies, Not, Or,
     PAnd, PAtom, PEQ, PExists, POr, ParseError, Role, TBox, Top, UCQ,
-    concept_depth, concept_sort_key, dialect, eliq_to_cq, cq_to_eli_concept, is_depth_one,
+    concept_depth, concept_sort_key, dialect, eliq_to_cq, is_depth_one,
     is_horn_alcfi, parse_abox, parse_concept, parse_query, parse_tbox,
     peq_to_ucq, print_abox, print_query, print_tbox, DisjunctBlowupError,
 )
 from omq.semantics import Interpretation, match_query
 
 from genutil import rand_abox, rand_concept, rand_eli_concept, rand_interpretation, rand_peq, rand_tbox
+from oracles import cq_to_eli_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 r, s = Role("r"), Role("s")
@@ -280,14 +283,23 @@ def test_concept_sort_key_is_structural_random():
 
 
 def test_concept_sort_key_keeps_no_module_cache():
-    import omq.syntax as syntax
+    # no module-level dict of any omq module grows with use
+    import omq
+    from omq.types import compute_types
+
+    modules = [importlib.import_module(f"omq.{m.name}")
+               for m in pkgutil.iter_modules(omq.__path__)]
 
     def dict_sizes():
-        return {name: len(v) for name, v in vars(syntax).items()
+        return {(m.__name__, name): len(v) for m in modules
+                for name, v in vars(m).items()
                 if isinstance(v, dict) and not name.startswith("__")}
 
     before = dict_sizes()
     rng = random.Random(29)
     for _ in range(200):
         concept_sort_key(rand_concept(rng, depth=3))
+    # functional roles send every candidate type to the tableau
+    compute_types(parse_tbox("func(r)\nA sub some r.B\nB sub some r.A"),
+                  Exists(r, A))
     assert dict_sizes() == before

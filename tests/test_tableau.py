@@ -6,8 +6,7 @@ import pytest
 
 from omq import tableau
 from omq.syntax import ABox, Not, Or, concept_sort_key, parse_tbox
-from omq.tableau import BudgetExceededError
-from omq.types import kb_consistent
+from omq.tableau import BudgetExceededError, abox_consistent
 
 from genutil import rand_abox, rand_concept, rand_tbox
 
@@ -147,5 +146,5 @@ def test_deep_search_needs_no_recursion_limit(monkeypatch):
     abox = ABox(frozenset(("A", f"a{i}") for i in range(n)),
                 frozenset(("r", f"a{i}", f"a{i + 1}") for i in range(n - 1)))
     with recorded(tableau._Tableau) as made:
-        assert kb_consistent(parse_tbox("A sub B or C"), abox)
+        assert abox_consistent(parse_tbox("A sub B or C"), abox)
     assert made[0].decisions == n

@@ -10,11 +10,12 @@ from omq.syntax import (
 from omq.semantics import Interpretation, eval_concept, is_model
 from omq.types import (
     closure, compute_types, entails_eliq, entails_eliq_disjunction,
-    is_satisfiable, kb_consistent, realized_type, succ_relation, types_omitting,
+    succ_relation, types_omitting,
 )
-from omq.tableau import BudgetExceededError, nnf
+from omq.tableau import BudgetExceededError, abox_consistent, nnf, satisfiable
 
 from genutil import rand_concept, rand_tbox
+from oracles import realized_type
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -71,42 +72,42 @@ def test_closure_idempotent():
     assert again == set(cl)
 
 
-# -- is_satisfiable -----------------------------------------------------------
+# -- satisfiable --------------------------------------------------------------
 
 def test_bot_unsatisfiable():
-    assert not is_satisfiable(Bot(), EMPTY)
-    assert not is_satisfiable(Bot(), parse_tbox("A sub B"))
+    assert not satisfiable(Bot(), EMPTY)
+    assert not satisfiable(Bot(), parse_tbox("A sub B"))
 
 
 def test_looping_witness():
     t = parse_tbox("A sub some r.A")
-    assert is_satisfiable(A, t)
+    assert satisfiable(A, t)
 
 
 def test_direct_clash():
     t = parse_tbox("A and B sub bot")
-    assert not is_satisfiable(And(A, B), t)
-    assert is_satisfiable(A, t)
+    assert not satisfiable(And(A, B), t)
+    assert satisfiable(A, t)
 
 
 def test_satisfiable_with_inverse_and_functionality():
     # func(inv(r)) + A sub some r.A forces an infinite (or cyclic) chain;
     # still satisfiable, pairwise blocking must terminate
     t = parse_tbox("func(inv(r))\nA sub some r.A")
-    assert is_satisfiable(A, t)
+    assert satisfiable(A, t)
 
 
 def test_no_finite_model_case_terminates():
     # B requires an infinite forward r-chain of fresh elements:
     # func(inv(r)) makes predecessors unique, N marks non-roots
     t = parse_tbox("func(inv(r))\nB sub some r.N\nN sub some r.N\nN sub not B")
-    assert is_satisfiable(B, t)
+    assert satisfiable(B, t)
 
 
 def test_budget_error_is_distinct():
     t = parse_tbox("A sub some r.A and some s.A")
     with pytest.raises(BudgetExceededError):
-        is_satisfiable(A, t, budget=2)
+        satisfiable(A, t, budget=2)
 
 
 def test_satisfiability_agrees_with_small_model_search():
@@ -119,26 +120,26 @@ def test_satisfiability_agrees_with_small_model_search():
         c = rand_concept(rng, depth=1, concepts=("A", "B"), roles=("r",),
                          allow_inverse=False)
         if brute_satisfiable(c, t, max_size=2):
-            assert is_satisfiable(c, t)
+            assert satisfiable(c, t)
             agree_sat += 1
     assert agree_sat > 10
 
 
-# -- kb_consistent ------------------------------------------------------------
+# -- abox_consistent ----------------------------------------------------------
 
 def test_kb_consistent_empty_tbox():
-    assert kb_consistent(EMPTY, parse_abox("A(a)\nr(a,b)"))
+    assert abox_consistent(EMPTY, parse_abox("A(a)\nr(a,b)"))
 
 
 def test_kb_inconsistent_direct():
     t = parse_tbox("A and B sub bot")
-    assert not kb_consistent(t, parse_abox("A(a)\nB(a)"))
+    assert not abox_consistent(t, parse_abox("A(a)\nB(a)"))
 
 
 def test_kb_functional_unique_names():
     t = parse_tbox("func(r)\ntop sub top")
-    assert not kb_consistent(t, parse_abox("r(a,b1)\nr(a,b2)"))
-    assert kb_consistent(t, parse_abox("r(a,b)"))
+    assert not abox_consistent(t, parse_abox("r(a,b1)\nr(a,b2)"))
+    assert abox_consistent(t, parse_abox("r(a,b)"))
 
 
 def test_entails_eliq():
@@ -171,6 +172,15 @@ def test_types_forced_membership():
     types = compute_types(t, ELIQ(A, "x"))
     assert all(Not(A) not in tt for tt in types)
     assert len(types) == 1
+
+
+def test_compute_types_budget_holds_after_an_earlier_call():
+    # the budget bounds every call, whatever ran earlier in the process
+    t = parse_tbox("func(r)\nA sub some r.B\nB sub some r.A")
+    c = Exists(r, A)
+    assert len(compute_types(t, c)) == 9
+    with pytest.raises(BudgetExceededError):
+        compute_types(t, c, budget=1)
 
 
 def test_types_boolean_coherence():
