@@ -11,13 +11,12 @@ semi-decisions: a refutation is definitive, exhaustion is only evidence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
-    ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Not, Or, Role, TBox,
-    Top, concept_names, concept_sort_key, conjoin, dialect, eliq_to_cq,
-    is_depth_one, is_horn_alcfi, print_concept,
+    ABox, And, Atom, Concept, ELIQ, Exists, Or, Role, TBox, Top, conjoin,
+    dialect, eliq_to_cq, is_depth_one, is_horn_alcfi,
 )
 from .types import entails_eliq, entails_eliq_disjunction
 from .csp import (

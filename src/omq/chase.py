@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Optional
 
 from .syntax import (
-    ABox, And, Atom, Bot, CQ, Concept, ELIQ, ELQ, Exists, Forall, Implies,
+    ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Implies,
     Not, Or, Role, TBox, Top, UCQ, concept_sort_key, conjoin, is_eliu_bot,
     is_horn_alcfi, print_concept,
 )

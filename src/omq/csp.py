@@ -3,8 +3,11 @@ homomorphism solving against them, exact unraveling-entailment, the
 CSP-to-TBox encoding, and enriched signature abstraction.
 
 Homomorphisms and unraveling entailment both run on the propagation
-kernel of the semantics module (``arc_consistency``,
-``find_homomorphism``).
+kernel of the semantics module (``hom_problem``, ``arc_consistency``,
+``find_homomorphism``).  A template is an ``Interpretation`` plus its
+signature, built once by ``template_from_omq``; the kernel reads the
+interpretation's index (``labels``, ``successors``), built on first use
+and then shared by every call on the same template.
 
 The central contract is homomorphism duality: for an ALC/ALCI TBox and a
 Boolean tree query, the certain answer holds exactly when the data's
@@ -14,17 +17,16 @@ are the query-omitting types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
-    ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Not, Or, Role,
-    TBox, Top, concept_names, concept_sort_key, dialect, disjoin,
-    roles_of_concept, subconcepts,
+    ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not,
+    Or, Role, TBox, Top, concept_names, concept_sort_key, disjoin,
+    roles_of_concept,
 )
 from .semantics import (
-    Interpretation, arc_consistency, element_labels, find_homomorphism,
-    is_model, role_moves,
+    Interpretation, arc_consistency, find_homomorphism, hom_problem, is_model,
 )
 from .tableau import abox_consistent
 from .types import omitting_succ_relation, types_omitting
@@ -44,11 +46,6 @@ class Signature:
         return Signature(frozenset(tbox.concept_names()),
                          frozenset(tbox.role_names()))
 
-    @staticmethod
-    def of_abox(abox: ABox) -> "Signature":
-        return Signature(frozenset(abox.concept_names()),
-                         frozenset(abox.role_names()))
-
     def union(self, other: "Signature") -> "Signature":
         return Signature(self.concept_names | other.concept_names,
                          self.role_names | other.role_names)
@@ -61,29 +58,19 @@ def sig_of_query_concept(c: Concept) -> Signature:
 
 @dataclass(frozen=True)
 class Template:
-    """A signature ABox with no individual-name significance.
-
-    Points are tracked separately from the assertions: a template point
-    may satisfy no positive atom at all (for example the all-negative
-    type) and would otherwise disappear from the assertion set.
-    """
-    abox: ABox
+    """A finite structure over a signature, with no individual-name
+    significance.  Its points are the structure's domain, so a point that
+    satisfies no positive atom (for example the all-negative type) is
+    kept."""
+    structure: Interpretation
     signature: Signature
-    points: tuple
 
-    @staticmethod
-    def of(abox: ABox, signature: Optional[Signature] = None) -> "Template":
-        sig = signature or Signature.of_abox(abox)
-        return Template(abox, sig, tuple(sorted(abox.individuals())))
-
-    def individuals(self):
-        return list(self.points)
+    @property
+    def points(self) -> frozenset:
+        return self.structure.domain
 
     def interpretation(self) -> Interpretation:
-        base = Interpretation.from_abox(self.abox)
-        domain = base.domain | frozenset(self.points)
-        return Interpretation(domain, frozenset(), base.concept_ext,
-                              base.role_ext)
+        return self.structure
 
 
 def restrict_abox(abox: ABox, sigma: Signature) -> ABox:
@@ -106,13 +93,7 @@ def csp_hom(abox: ABox, template: Template) -> Optional[dict]:
     No individual names are preserved.  The empty ABox (an empty
     signature restriction) maps vacuously: the empty map is returned.
     """
-    if abox.is_empty() and not abox.individuals():
-        return {}
-    src = Interpretation.from_abox(abox)
-    tgt = template.interpretation()
-    if not tgt.domain:
-        return None if src.domain else {}
-    return find_homomorphism(src, tgt, preserve=())
+    return find_homomorphism(Interpretation.from_abox(abox), template.interpretation())
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +115,15 @@ def template_from_omq(tbox: TBox, q) -> Template:
     succ = omitting_succ_relation(tbox, concept, omitting)
     ordered = sorted(omitting, key=lambda t: sorted(map(concept_sort_key, t)))
     name = {t: f"t{i}" for i, t in enumerate(ordered)}
-    cas = set()
-    ras = set()
+    cext, rext = {}, {}
     for t in ordered:
         for c in t:
             if isinstance(c, Atom) and c.name in sigma.concept_names:
-                cas.add((c.name, name[t]))
+                cext.setdefault(c.name, set()).add(name[t])
     for (t, role, t2) in succ:
         if not role.inverted and role.name in sigma.role_names:
-            ras.add((role.name, name[t], name[t2]))
-    return Template(ABox(frozenset(cas), frozenset(ras)), sigma,
-                    tuple(name[t] for t in ordered))
+            rext.setdefault(role.name, set()).add((name[t], name[t2]))
+    return Template(Interpretation.of(name.values(), (), cext, rext), sigma)
 
 
 def certain_boolean_eliq_csp(tbox: TBox, abox: ABox, q,
@@ -172,11 +151,7 @@ def booleanize_eliq(tbox: TBox, abox: ABox, concept: Concept,
     if individual not in abox.individuals():
         raise ValueError(f"{individual!r} is not an ABox individual")
     used = tbox.concept_names() | abox.concept_names() | concept_names(concept)
-    p = "P_mark"
-    i = 0
-    while p in used:
-        i += 1
-        p = f"P_mark{i}"
+    p = _fresh("P_mark", used)
     marked = ABox(abox.concept_assertions | {(p, individual)},
                   abox.role_assertions)
     return tbox, marked, ELIQ(And(Atom(p), concept), "x")
@@ -210,10 +185,7 @@ def unraveling_entails(tbox: TBox, q, abox: ABox,
         return True
     tgt = tmpl.interpretation()
     src = Interpretation.from_abox(restrict_abox(abox, tmpl.signature))
-    base = {b: tgt.domain.intersection(*map(tgt.concept, need))
-            for b, need in element_labels(src).items()}
-    moves = {role: (role_moves(src, role), role_moves(tgt, role))
-             for n in src.role_ext for role in (Role(n), Role(n, True))}
+    base, _ = hom_problem(src, tgt)
     roots = [(a, None) for a in src.domain]
     cand = {}
     arcs = {}
@@ -225,12 +197,12 @@ def unraveling_entails(tbox: TBox, q, abox: ABox,
         b, incoming = state
         cand[state] = base[b]
         arcs[state] = []
-        for role, (succ, tmoves) in moves.items():
+        for role, succ in src.successors.items():
             for b2 in succ.get(b, ()):
                 if incoming == (b2, role.inverse()):
                     continue  # non-backtracking condition
                 state2 = (b2, (b, role))
-                arcs[state].append((state2, tmoves))
+                arcs[state].append((state2, tgt.successors.get(role, {})))
                 frontier.append(state2)
     cand = arc_consistency(cand, arcs)
     return any(not cand[root] for root in roots)
@@ -267,7 +239,6 @@ def _substitute_atoms(c: Concept, mapping: dict) -> Concept:
         return Exists(c.role, _substitute_atoms(c.filler, mapping))
     if isinstance(c, Forall):
         return Forall(c.role, _substitute_atoms(c.filler, mapping))
-    from .syntax import Implies
     if isinstance(c, Implies):
         return Implies(_substitute_atoms(c.left, mapping),
                        _substitute_atoms(c.right, mapping))
@@ -350,7 +321,8 @@ def tbox_from_template(template: Template) -> TemplateEncoding:
     forbidden-label bottom rules; then hide the point concepts behind the
     enriched signature abstraction."""
     sigma = template.signature
-    points = template.individuals()
+    structure = template.interpretation()
+    points = sorted(template.points)
     if not points:
         raise ValueError("the template must have at least one point")
     used = set(sigma.concept_names) | set(sigma.role_names) | {MARKER}
@@ -372,16 +344,15 @@ def tbox_from_template(template: Template) -> TemplateEncoding:
         for e in points[i + 1:]:
             inclusions.add((And(atoms[d], atoms[e]), Bot()))
     # forbidden edges and labels
-    edges = {(n, a, b) for n, a, b in template.abox.role_assertions}
-    labels = {(n, a) for n, a in template.abox.concept_assertions}
     for r in sorted(sigma.role_names):
+        edges = structure.successors.get(Role(r), {})
         for d in points:
             for e in points:
-                if (r, d, e) not in edges:
+                if e not in edges.get(d, ()):
                     inclusions.add((And(atoms[d], Exists(Role(r), atoms[e])), Bot()))
     for a in sorted(sigma.concept_names):
         for d in points:
-            if (a, d) not in labels:
+            if d not in structure.concept(a):
                 inclusions.add((And(atoms[d], Atom(a)), Bot()))
 
     core = TBox(frozenset(inclusions), frozenset())

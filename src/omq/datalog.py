@@ -5,7 +5,9 @@ Programs evaluate over ABoxes with inequality read as distinctness of
 individual names.  The unary relation ``dom`` is built in and always
 holds the active domain Ind(A); the rewriting uses it to seed the
 trivial type-set fact at assertion-poor individuals and to keep the
-paper's domain-independent goal rules safe.
+paper's domain-independent goal rules safe.  An ABox is input to the
+relations a program reads only: assertions of a relation the program
+defines by its rules are left out.
 
 Evaluation is semi-naive, with joins through hash indexes on the bound
 argument positions.
@@ -14,13 +16,13 @@ argument positions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from .syntax import (
-    ABox, Atom, Concept, ELIQ, ELQ, Role, TBox, concept_sort_key, dialect,
-    is_horn_alcfi,
+    ABox, Atom, ELIQ, ELQ, Exists, Forall, Role, TBox, concept_sort_key,
+    dialect, is_horn_alcfi,
 )
 from .types import compute_types, closure, closure_roles, succ_relation
 
@@ -154,12 +156,18 @@ def parse_program(text: str) -> Program:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _edb_facts(abox: ABox) -> dict:
+def _edb_facts(abox: ABox, program: Program) -> dict:
+    """The ABox as the program's input.  Assertions of a relation that
+    the program defines by its rules (the goal included) are not input
+    and are left out."""
+    defined = program.idb() | {program.goal}
     facts = {}
     for name, a in abox.concept_assertions:
-        facts.setdefault(name, set()).add((a,))
+        if name not in defined:
+            facts.setdefault(name, set()).add((a,))
     for name, a, b in abox.role_assertions:
-        facts.setdefault(name, set()).add((a, b))
+        if name not in defined:
+            facts.setdefault(name, set()).add((a, b))
     facts[DOM] = {(a,) for a in abox.individuals()}
     return facts
 
@@ -230,7 +238,7 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
     indexes on their bound argument positions, kept up to date as facts
     are added.  Each (rule, first atom) pair is planned once per call.
     """
-    facts = _edb_facts(abox)
+    facts = _edb_facts(abox, program)
     indexes = {}    # (pred, arity) -> {positions: (key getter, {key: [tuple]})}
 
     def index(pred, arity, positions):
@@ -287,106 +295,88 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
 def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
     """The monadic Datalog(!=) program for the OMQ (TBox, ELIQ).
 
-    IDB relations stand for sets of types; only sets reachable from the
-    concept-name seeds (and the full set, seeded on the active domain)
-    under role propagation and intersection are materialized, which
-    preserves the program's answers since unreachable relations never
-    derive a fact.  Exceeding ``max_idbs`` reachable sets raises
-    SizeGuardError.
+    IDB relations stand for sets of types, written as bit masks over the
+    sorted types; only sets reachable from the concept-name seeds (and
+    the full set, seeded on the active domain) under role propagation and
+    intersection are materialized, which preserves the program's answers
+    since unreachable relations never derive a fact.  Propagation along a
+    role is the arc-consistency revision {t in S : some successor of t is
+    in S'}.  One worklist closes the family: each set, once taken from
+    it, is paired with itself and each set taken before it, so every rule
+    is emitted once.  The relation names are kept apart from the TBox's
+    and query's names.  Exceeding ``max_idbs`` reachable sets raises
+    SizeGuardError; a TBox or query using the built-in name ``dom``
+    raises ValueError.
     """
     concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    types = compute_types(tbox, concept)
-    succ = succ_relation(tbox, concept, types)
     cl = closure(tbox, concept)
-    roles = closure_roles(cl)
+    concept_names = sorted({c.name for c in cl if isinstance(c, Atom)})
+    roles = {c.role.name for c in cl if isinstance(c, (Exists, Forall))}
+    names = {*concept_names, *roles, *(r.name for r in tbox.functional)}
+    if DOM in names:
+        raise ValueError(f"{DOM!r} names the built-in active-domain relation")
+    prefix, goal = "P", "goal"      # kept apart from the TBox's and query's names
+    while any(re.fullmatch(prefix + "[0-9a-f]+", n) for n in names):
+        prefix += "_"
+    while goal in names:
+        goal += "_"
+    types = compute_types(tbox, concept)
     tlist = sorted(types, key=lambda t: sorted(map(concept_sort_key, t)))
     index = {t: i for i, t in enumerate(tlist)}
-    full = frozenset(types)
+    moves = {role: [0] * len(tlist) for role in closure_roles(cl)}
+    for (t, role, t2) in succ_relation(tbox, concept, types):
+        moves[role][index[t]] |= 1 << index[t2]
 
-    def name_of(tset: frozenset) -> str:
-        mask = 0
-        for t in tset:
-            mask |= 1 << index[t]
-        return f"P{mask:x}"
+    def mask(pred) -> int:
+        return sum(1 << i for i, t in enumerate(tlist) if pred(t))
 
-    succ_by_role = {}
-    for (t, role, t2) in succ:
-        succ_by_role.setdefault(role, set()).add((t, t2))
+    def revise(succ: list, s: int, s2: int) -> int:
+        return sum(1 << i for i in range(s.bit_length()) if s >> i & 1 and succ[i] & s2)
 
-    def prop(role, t0: frozenset, t1: frozenset) -> frozenset:
-        pairs = succ_by_role.get(role, ())
-        return frozenset(t for t in t0 if any((t, t2) in pairs for t2 in t1))
+    def edge(role: Role, a: str, b: str) -> DAtom:
+        return DAtom(role.name, (b, a) if role.inverted else (a, b))
 
-    concept_names = sorted({c.name for c in cl if isinstance(c, Atom)})
-    seeds = {full}
-    seed_rules = [DRule(DAtom(name_of(full), ("x",)), (DAtom(DOM, ("x",)),))]
+    family = []                     # type-set masks in discovery order
+    known = set()
+
+    def rel(s: int, var: str = "x") -> DAtom:
+        """The atom of the type set's relation; adds the set to the family."""
+        if s not in known:
+            if len(known) == max_idbs:
+                raise SizeGuardError(f"more than {max_idbs} reachable type-set relations")
+            known.add(s)
+            family.append(s)
+        return DAtom(f"{prefix}{s:x}", (var,))
+
+    x = ("x",)
+    seed_rules = [DRule(rel(mask(lambda t: True)), (DAtom(DOM, x),))]
     for a in concept_names:
-        ta = frozenset(t for t in types if Atom(a) in t)
-        seeds.add(ta)
-        seed_rules.append(DRule(DAtom(name_of(ta), ("x",)), (DAtom(a, ("x",)),)))
+        seed_rules.append(DRule(rel(mask(lambda t: Atom(a) in t)), (DAtom(a, x),)))
+    inter_rules, prop_rules = [], []
+    done = 0
+    while done < len(family):
+        s = family[done]
+        done += 1
+        for s2 in family[:done]:
+            meet = s & s2
+            if meet != s and meet != s2:
+                inter_rules.append(DRule(rel(meet), (rel(s), rel(s2))))
+            for role, succ in moves.items():
+                for a, b in ((s, s2), (s2, s)) if s != s2 else ((s, s),):
+                    target = revise(succ, a, b)
+                    if target != a:  # else the head is a body atom
+                        prop_rules.append(DRule(rel(target), (rel(a), edge(role, "x", "y"),
+                                                              rel(b, "y"))))
 
-    family = set(seeds)
-    frontier = set(seeds)
-    prop_rules = []
-    inter_rules = []
-    emitted_prop = set()
-    emitted_inter = set()
-    while frontier:
-        if len(family) > max_idbs:
-            raise SizeGuardError(
-                f"more than {max_idbs} reachable type-set relations")
-        new = set()
-        for t0 in sorted(family, key=name_of):
-            for t1 in sorted(family, key=name_of):
-                key = (name_of(t0), name_of(t1))
-                if key not in emitted_inter:
-                    emitted_inter.add(key)
-                    meet = t0 & t1
-                    if meet != t0 and meet != t1:
-                        inter_rules.append(
-                            DRule(DAtom(name_of(meet), ("x",)),
-                                  (DAtom(name_of(t0), ("x",)),
-                                   DAtom(name_of(t1), ("x",)))))
-                        if meet not in family:
-                            new.add(meet)
-                if t0 not in frontier and t1 not in frontier:
-                    continue
-                for role in roles:
-                    pkey = (name_of(t0), role, name_of(t1))
-                    if pkey in emitted_prop:
-                        continue
-                    emitted_prop.add(pkey)
-                    target = prop(role, t0, t1)
-                    if target == t0:
-                        # the head is a body atom: the rule adds nothing
-                        continue
-                    edge = DAtom(role.name, ("y", "x") if role.inverted else ("x", "y"))
-                    prop_rules.append(
-                        DRule(DAtom(name_of(target), ("x",)),
-                              (DAtom(name_of(t0), ("x",)), edge,
-                               DAtom(name_of(t1), ("y",)))))
-                    if target not in family:
-                        new.add(target)
-        family |= new
-        frontier = new
-
-    goal_rules = []
-    for tset in sorted(family, key=name_of):
-        if all(concept in t for t in tset):
-            goal_rules.append(DRule(DAtom("goal", ("x",)),
-                                    (DAtom(name_of(tset), ("x",)),)))
-    empty = frozenset()
-    if empty in family:
-        goal_rules.append(DRule(DAtom("goal", ("x",)),
-                                (DAtom(DOM, ("x",)), DAtom(name_of(empty), ("y",)))))
+    holds = mask(lambda t: concept in t)
+    goal_rules = [DRule(DAtom(goal, x), (rel(s),)) for s in family if s & ~holds == 0]
+    if 0 in known:
+        goal_rules.append(DRule(DAtom(goal, x), (DAtom(DOM, x), rel(0, "y"))))
     for role in sorted(tbox.functional):
-        e1 = DAtom(role.name, ("y", "z1") if not role.inverted else ("z1", "y"))
-        e2 = DAtom(role.name, ("y", "z2") if not role.inverted else ("z2", "y"))
-        goal_rules.append(DRule(DAtom("goal", ("x",)),
-                                (DAtom(DOM, ("x",)), e1, e2), (("z1", "z2"),)))
-
+        goal_rules.append(DRule(DAtom(goal, x), (DAtom(DOM, x), edge(role, "y", "z1"),
+                                                 edge(role, "y", "z2")), (("z1", "z2"),)))
     rules = tuple(seed_rules + inter_rules + prop_rules + goal_rules)
-    return Program(rules, "goal", 1)
+    return Program(rules, goal, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +404,7 @@ def soundness_status(tbox: TBox, q, program: Program,
     concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     if is_horn_alcfi(tbox):
         oracle_name = "chase"
-        from .chase import complete, horn_entails_eliq
+        from .chase import horn_entails_eliq
 
         def oracle(abox, a):
             return horn_entails_eliq(tbox, abox, ELIQ(concept, "x"), a)

@@ -2,7 +2,8 @@
 evaluation, model checking, query matching and the homomorphism solver.
 
 One propagation kernel serves every mapping question here and in the csp
-module: ``element_labels`` and ``role_moves`` index an interpretation,
+module: an ``Interpretation`` indexes itself once (``labels`` and
+``successors``, built on first use and shared by every later call),
 ``hom_problem`` states a homomorphism question as candidate sets and
 arcs, ``arc_consistency`` refines candidate sets to their greatest
 arc-consistent subsets (AC-3), and ``_solve`` searches while keeping arc
@@ -19,6 +20,7 @@ their working state per call, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .syntax import (
@@ -69,6 +71,30 @@ class Interpretation:
 
     def concept(self, name: str) -> frozenset:
         return self.concept_ext.get(name, frozenset())
+
+    @cached_property
+    def labels(self) -> dict:
+        """Each domain element's set of concept names.  Like ``successors``,
+        built on first use and shared by every caller, who only reads it."""
+        labels = {d: set() for d in self.domain}
+        for name, ds in self.concept_ext.items():
+            for d in ds & self.domain:
+                labels[d].add(name)
+        return {d: frozenset(names) for d, names in labels.items()}
+
+    @cached_property
+    def successors(self) -> dict:
+        """Per role name and its inverse, each element's set of
+        role-successors; an inverse role walks the edges backwards."""
+        index = {}
+        for name, pairs in self.role_ext.items():
+            forward, backward = {}, {}
+            for a, b in pairs:
+                forward.setdefault(a, set()).add(b)
+                backward.setdefault(b, set()).add(a)
+            for role, moves in ((Role(name), forward), (Role(name, True), backward)):
+                index[role] = {d: frozenset(es) for d, es in moves.items()}
+        return index
 
     def role(self, role: Role) -> frozenset:
         pairs = self.role_ext.get(role.name, frozenset())
@@ -206,27 +232,6 @@ def match_query(i: Interpretation, q: Query, answers: tuple) -> bool:
 _NO_MOVES = frozenset()
 
 
-def element_labels(i: Interpretation) -> dict:
-    """Each domain element's set of concept names."""
-    labels = {d: set() for d in i.domain}
-    for name, ds in i.concept_ext.items():
-        for d in ds:
-            if d in labels:
-                labels[d].add(name)
-    return labels
-
-
-def role_moves(i: Interpretation, role: Role) -> dict:
-    """Each element's set of role-successors; an inverse role walks the
-    edges of its role name backwards."""
-    moves = {}
-    for a, b in i.role_ext.get(role.name, ()):
-        if role.inverted:
-            a, b = b, a
-        moves.setdefault(a, set()).add(b)
-    return moves
-
-
 def hom_problem(s: Interpretation, g: Interpretation, preserve: Iterable = ()) -> tuple:
     """The homomorphism problem from S to G as ``(cand, arcs)`` for
     ``arc_consistency``: each source element may take the target elements
@@ -234,13 +239,13 @@ def hom_problem(s: Interpretation, g: Interpretation, preserve: Iterable = ()) -
     and every source edge gives an arc in both directions.  Its greatest
     arc-consistent refinement is the greatest i-simulation."""
     cand = {d: g.domain.intersection(*map(g.concept, need))
-            for d, need in element_labels(s).items()}
+            for d, need in s.labels.items()}
     for d in preserve:
         cand[d] = cand[d] & {d}
     arcs = {d: [] for d in s.domain}
     for name, pairs in s.role_ext.items():
-        forward = role_moves(g, Role(name))
-        backward = role_moves(g, Role(name, True))
+        forward = g.successors.get(Role(name), {})
+        backward = g.successors.get(Role(name, True), {})
         for a, b in pairs:
             arcs[a].append((b, forward))
             arcs[b].append((a, backward))

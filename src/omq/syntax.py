@@ -26,7 +26,7 @@ UCQ), or a PEQ ``peq(x): exists y. (A(x) and r(x,y))``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -14,9 +14,6 @@ functional roles each candidate is checked by the tableau instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
-
 from .syntax import (
     ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not,
     Or, Role, TBox, Top, concept_sort_key, conjoin, subconcepts,
@@ -194,19 +191,27 @@ def entails_eliq_disjunction(tbox: TBox, abox: ABox, disjuncts,
     return not abox_consistent(tbox, abox, extra_labels=extra, budget=budget)
 
 
+def _types(tbox: TBox, c0: Concept, models: TBox, budget: int) -> frozenset:
+    """The types over the closure of the TBox and ``c0`` that some model
+    of ``models`` realizes; ``models`` is the TBox itself or extends it."""
+    cl = closure(tbox, c0)
+    candidates = _candidates(models, cl)
+    if not models.functional:
+        return frozenset(_eliminate(candidates, cl))
+    return frozenset(t for t in candidates
+                     if satisfiable(conjoin(sorted(t, key=concept_sort_key)), models, budget))
+
+
+def _omitting(tbox: TBox, c0: Concept) -> TBox:
+    """The TBox extended so that its models leave ``c0`` empty."""
+    return TBox(tbox.inclusions | {(Top(), Not(c0))}, tbox.functional)
+
+
 def compute_types(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
     """All types: maximal Boolean-coherent subsets of the closure whose
     conjunction is satisfiable w.r.t. the TBox."""
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    cl = closure(tbox, c0)
-    candidates = _candidates(tbox, cl)
-    if not tbox.functional:
-        return frozenset(_eliminate(candidates, cl))
-    out = []
-    for t in candidates:
-        if satisfiable(conjoin(sorted(t, key=concept_sort_key)), tbox, budget):
-            out.append(t)
-    return frozenset(out)
+    return _types(tbox, c0, tbox, budget)
 
 
 def succ_relation(tbox: TBox, q, types: frozenset,
@@ -217,43 +222,24 @@ def succ_relation(tbox: TBox, q, types: frozenset,
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     cl = closure(tbox, c0)
     roles = closure_roles(cl)
-    out = set()
     ordered = sorted(types, key=lambda t: sorted(map(concept_sort_key, t)))
-    if not tbox.functional:
-        for t in ordered:
-            for t2 in ordered:
-                for role in roles:
-                    if _compatible(t, role, t2):
-                        out.add((t, role, t2))
-        return frozenset(out)
-    for t in ordered:
-        ct = conjoin(sorted(t, key=concept_sort_key))
-        for t2 in ordered:
-            ct2 = conjoin(sorted(t2, key=concept_sort_key))
-            for role in roles:
-                if not _compatible(t, role, t2):
-                    continue  # sound pre-filter: necessary conditions
-                witness = And(ct, Exists(role, ct2))
-                if satisfiable(witness, tbox, budget):
-                    out.add((t, role, t2))
-    return frozenset(out)
+    # without functional roles the necessary conditions of _compatible are
+    # sufficient; with them they pre-filter the tableau's witness check
+    conj = {t: conjoin(sorted(t, key=concept_sort_key))
+            for t in ordered} if tbox.functional else {}
+    return frozenset(
+        (t, role, t2) for t in ordered for t2 in ordered for role in roles
+        if _compatible(t, role, t2) and (not tbox.functional or satisfiable(
+            And(conj[t], Exists(role, conj[t2])), tbox, budget)))
 
 
 def types_omitting(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
     """Types satisfiable in a model of the TBox whose extension of the
     query concept is empty; the Boolean query ``exists x C(x)`` omits
-    exactly when every element avoids C."""
+    exactly when every element avoids C.  The extended TBox's inclusion
+    top sub not C leaves out, type-locally, every candidate holding C."""
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    extended = TBox(tbox.inclusions | {(Top(), Not(c0))}, tbox.functional)
-    cl = closure(tbox, c0)
-    candidates = [t for t in _candidates(tbox, cl) if c0 not in t]
-    if not tbox.functional:
-        return frozenset(_eliminate(candidates, cl))
-    out = []
-    for t in candidates:
-        if satisfiable(conjoin(sorted(t, key=concept_sort_key)), extended, budget):
-            out.append(t)
-    return frozenset(out)
+    return _types(tbox, c0, _omitting(tbox, c0), budget)
 
 
 def omitting_succ_relation(tbox: TBox, q, types: frozenset,
@@ -261,5 +247,4 @@ def omitting_succ_relation(tbox: TBox, q, types: frozenset,
     """Successor relation among q-omitting types, relativized to models
     where the query concept is empty (the world the template lives in)."""
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    extended = TBox(tbox.inclusions | {(Top(), Not(c0))}, tbox.functional)
-    return succ_relation(extended, c0, types, budget)
+    return succ_relation(_omitting(tbox, c0), c0, types, budget)

@@ -28,8 +28,18 @@ from oracles import abox_isomorphic, unravel_abox
 A, B = Atom("A"), Atom("B")
 r = Role("r")
 
-C2 = Template.of(parse_abox("r(x1,x2)\nr(x2,x1)"),
-                 Signature.of((), ("r",)))
+def abox_template(abox, signature):
+    return Template(Interpretation.from_abox(abox), signature)
+
+
+def template_abox(tmpl):
+    """The template's structure written out as an ABox."""
+    i = tmpl.interpretation()
+    return ABox(frozenset((n, d) for n, ds in i.concept_ext.items() for d in ds),
+                frozenset((n, d, e) for n, es in i.role_ext.items() for d, e in es))
+
+
+C2 = abox_template(parse_abox("r(x1,x2)\nr(x2,x1)"), Signature.of((), ("r",)))
 
 
 def brute_hom_exists(abox, template):
@@ -37,11 +47,12 @@ def brute_hom_exists(abox, template):
     if not src_inds:
         return True
     tgt = sorted(template.points)
+    t_abox = template_abox(template)
     for image in itertools.product(tgt, repeat=len(src_inds)):
         h = dict(zip(src_inds, image))
-        ok = all((n, h[a]) in template.abox.concept_assertions
+        ok = all((n, h[a]) in t_abox.concept_assertions
                  for n, a in abox.concept_assertions)
-        ok = ok and all((n, h[a], h[b]) in template.abox.role_assertions
+        ok = ok and all((n, h[a], h[b]) in t_abox.role_assertions
                         for n, a, b in abox.role_assertions)
         if ok:
             return True
@@ -95,8 +106,8 @@ def test_cycle_coloring():
 
 
 def test_reflexive_point_accepts_everything():
-    univ = Template.of(parse_abox("A(u)\nB(u)\nr(u,u)\ns(u,u)"),
-                       Signature.of(("A", "B"), ("r", "s")))
+    univ = abox_template(parse_abox("A(u)\nB(u)\nr(u,u)\ns(u,u)"),
+                         Signature.of(("A", "B"), ("r", "s")))
     rng = random.Random(1)
     for _ in range(30):
         a = rand_abox(rng, concepts=("A", "B"), roles=("r", "s"))
@@ -104,7 +115,7 @@ def test_reflexive_point_accepts_everything():
 
 
 def test_unmatched_concept_name_absent():
-    t = Template.of(parse_abox("A(u)\nr(u,u)"), Signature.of(("A", "B"), ("r",)))
+    t = abox_template(parse_abox("A(u)\nr(u,u)"), Signature.of(("A", "B"), ("r",)))
     assert csp_hom(parse_abox("B(a)"), t) is None
 
 
@@ -119,7 +130,7 @@ def test_csp_hom_matches_bruteforce():
                       concepts=("A",), roles=("r",))
         t_abox = rand_abox(rng, n_individuals=3, n_assertions=5,
                            concepts=("A",), roles=("r",))
-        tmpl = Template.of(t_abox, Signature.of(("A",), ("r",)))
+        tmpl = abox_template(t_abox, Signature.of(("A",), ("r",)))
         got = csp_hom(a, tmpl)
         assert (got is not None) == brute_hom_exists(a, tmpl)
 
@@ -137,7 +148,7 @@ def test_arc_consistency_exact_on_trees():
         a = ABox(frozenset(cas), frozenset(ras))
         t_abox = rand_abox(rng, n_individuals=3, n_assertions=5,
                            concepts=("A",), roles=("r",))
-        tmpl = Template.of(t_abox, Signature.of(("A",), ("r",)))
+        tmpl = abox_template(t_abox, Signature.of(("A",), ("r",)))
         assert arc_consistent(a, tmpl) == (csp_hom(a, tmpl) is not None)
 
 
@@ -154,7 +165,7 @@ def test_template_value_restriction_example():
     t = parse_tbox("A sub all r.B")
     tmpl = template_from_omq(t, ELIQ(B, "x"))
     expected = parse_abox("r(a,a)\nr(a,b)\nA(b)\nr(a,c)")
-    assert abox_isomorphic(tmpl.abox, expected)
+    assert abox_isomorphic(template_abox(tmpl), expected)
     assert len(tmpl.points) == 3
 
 
@@ -162,7 +173,7 @@ def test_template_empty_tbox_single_point():
     tmpl = template_from_omq(TBox.of(), ELIQ(A, "x"))
     # the only A-omitting type carries no positive atom
     assert len(tmpl.points) == 1
-    assert not tmpl.abox.concept_assertions
+    assert not template_abox(tmpl).concept_assertions
     # every A-free ABox maps into it
     assert certain_boolean_eliq_csp(TBox.of(), parse_abox("B(b)"), ELIQ(A, "x")) \
         is False
@@ -210,6 +221,27 @@ def test_homdual_against_chase_on_horn():
                                       for x in a.individuals())
             assert got == want, (t, a, q)
     assert pairs > 10
+
+
+def test_template_index_is_shared_and_unchanged_by_calls():
+    # one template answers every call as a fresh one does, and leaves its
+    # structure's index as it was built
+    rng = random.Random(17)
+    for _ in range(30):
+        t = rand_tbox(rng, n_inclusions=2, depth=1, roles=("r", "s"))
+        q = ELIQ(rand_eli_concept(rng, depth=2, roles=("r", "s")), "x")
+        shared = template_from_omq(t, q)
+        assert shared.interpretation() is shared.interpretation()
+        for _k in range(4):
+            a = rand_abox(rng, n_individuals=3, n_assertions=5, roles=("r", "s"))
+            restricted = restrict_abox(a, shared.signature)
+            assert unraveling_entails(t, q, a, template=shared) == \
+                unraveling_entails(t, q, a, template=template_from_omq(t, q))
+            assert (csp_hom(restricted, shared) is None) == \
+                (csp_hom(restricted, template_from_omq(t, q)) is None)
+        fresh = template_from_omq(t, q).interpretation()
+        used = shared.interpretation()
+        assert (used.labels, used.successors) == (fresh.labels, fresh.successors)
 
 
 # -- booleanize ---------------------------------------------------------------
@@ -413,7 +445,7 @@ def test_encoding_two_coloring():
 
 
 def test_encoding_universal_point():
-    univ = Template.of(parse_abox("A(u)\nr(u,u)"), Signature.of(("A",), ("r",)))
+    univ = abox_template(parse_abox("A(u)\nr(u,u)"), Signature.of(("A",), ("r",)))
     enc = tbox_from_template(univ)
     rng = random.Random(3)
     for _ in range(10):

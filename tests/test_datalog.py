@@ -92,7 +92,7 @@ def _join_naive(rule, facts):
 
 def evaluate_naive(program, abox):
     """The naive fixpoint: apply every rule in full until nothing changes."""
-    facts = _edb_facts(abox)
+    facts = _edb_facts(abox, program)
     for p in program.idb():
         facts.setdefault(p, set())
     changed = True
@@ -244,14 +244,58 @@ def test_rewriting_functionality_goal_rules():
     assert evaluate(p, parse_abox("M(a)\nr(a,b)")) == {("a",)}
 
 
-def test_rewriting_has_no_self_implying_rules():
+def rewriting_tboxes():
     rng = random.Random(68)
     tboxes = [T_EXISTS_L, parse_tbox("A sub some r.B\nB sub some r.A\nsome r.B sub B")]
-    tboxes += [rand_horn_tbox(rng, n_inclusions=2, depth=1, roles=("r", "s"))
-               for _ in range(10)]
-    for t in tboxes:
+    return tboxes + [rand_horn_tbox(rng, n_inclusions=2, depth=1, roles=("r", "s"))
+                     for _ in range(10)]
+
+
+def test_rewriting_has_no_self_implying_rules():
+    for t in rewriting_tboxes():
         for rule in build_rewriting(t, ELIQ(A, "x")).rules:
             assert rule.head not in rule.body, rule
+
+
+def test_rewriting_emits_each_rule_once():
+    # no two rules are equal up to the order of their body atoms
+    for t in rewriting_tboxes():
+        rules = build_rewriting(t, ELIQ(A, "x")).rules
+        keys = {(r.head, tuple(sorted(r.body, key=str)), r.neq) for r in rules}
+        assert len(keys) == len(rules), t
+
+
+@pytest.mark.parametrize("text", ["goal(b)", "C(b)\nP1(b)"])
+def test_abox_facts_never_enter_program_relations(text):
+    # an ABox assertion naming the goal or a type-set relation is not input
+    t, q = parse_tbox("A sub B"), ELIQ(Atom("B"), "x")
+    p = build_rewriting(t, q)
+    assert {"goal", "P1"} <= p.idb()
+    abox = parse_abox(text)
+    assert not horn_entails_eliq(t, abox, q, "b")
+    assert evaluate(p, abox) == frozenset()
+
+
+@pytest.mark.parametrize("tbox, query, text", [
+    ("P1 sub B", "B", "P1(b)"), ("some P3.top sub B", "B", "P3(b,c)"),
+    ("goal sub B", "B", "goal(b)"), ("A sub B", "P1", "A(b)\nP1(c)"),
+])
+def test_rewriting_relations_never_clash_with_tbox_names(tbox, query, text):
+    # the program's own relation names are kept apart from the OMQ's names
+    t, q, abox = parse_tbox(tbox), ELIQ(Atom(query), "x"), parse_abox(text)
+    p = build_rewriting(t, q)
+    assert not p.idb() & (t.concept_names() | t.role_names() | {query})
+    assert {a for (a,) in evaluate(p, abox)} == \
+        {a for a in abox.individuals() if horn_entails_eliq(t, abox, q, a)}
+
+
+@pytest.mark.parametrize("tbox, query", [
+    ("dom sub A", "A"), ("some dom.top sub A", "A"), ("A sub B", "dom"),
+])
+def test_rewriting_rejects_the_reserved_name_dom(tbox, query):
+    # dom is the built-in active-domain relation, not a TBox or query name
+    with pytest.raises(ValueError):
+        build_rewriting(parse_tbox(tbox), ELIQ(Atom(query), "x"))
 
 
 def test_rewriting_agrees_with_chase_on_random_horn_tboxes():
