@@ -2,13 +2,16 @@
 extraction, and exact Horn query answering.
 
 The completion applies rules R1-R7 in fair deterministic rounds after
-normalizing the TBox to a single inclusion top sub C_T.  The untamed
-completion can be infinite, so compound individuals whose full concept
-label equals that of a strict ancestor on the same branch are not
-expanded (ancestor-label blocking); all other rules still reach blocked
-individuals.  A node's subtree is determined by its label, so a blocked
-individual behaves exactly like the root of a copy of its blocker's
-subtree; matching and model extraction follow that redirection.
+normalizing the TBox to a single inclusion top sub C_T.  ABox individuals
+keep their names; the anonymous ones, the words a r1 C1 ... rk Ck of the
+canonical model, are numbered in creation order, and ``origin`` maps each
+to the (parent, role, concept) step that made it.  The untamed completion
+can be infinite, so anonymous individuals whose full concept label equals
+that of a strict ancestor are not expanded (ancestor-label blocking); all
+other rules still reach blocked individuals.  A node's subtree is
+determined by its label, so a blocked individual behaves exactly like the
+root of a copy of its blocker's subtree; matching and model extraction
+follow that redirection.
 
 An extra clash rule backs the standard name assumption: two distinct
 r-successors of the same individual with func(r) derive bottom, matching
@@ -35,45 +38,6 @@ class InconclusiveError(RuntimeError):
     """The completion hit its budget before the question was settled."""
 
 
-@dataclass(frozen=True)
-class ChaseInd:
-    """Compound individual a r1 C1 ... rk Ck."""
-    base: str
-    path: tuple  # of (Role, Concept)
-
-    def parent(self):
-        if len(self.path) == 1:
-            return self.base
-        return ChaseInd(self.base, self.path[:-1])
-
-    def extend(self, role: Role, concept: Concept) -> "ChaseInd":
-        return ChaseInd(self.base, self.path + ((role, concept),))
-
-    def mangled(self) -> str:
-        parts = [self.base]
-        for role, concept in self.path:
-            parts.append(role.name + ("_inv" if role.inverted else ""))
-            parts.append(re.sub(r"[^A-Za-z0-9_]+", "_", print_concept(concept)).strip("_"))
-        return ".".join(parts)
-
-
-def _ind_key(x):
-    if isinstance(x, ChaseInd):
-        return (1, x.base, len(x.path),
-                tuple((r.name, r.inverted, concept_sort_key(c)) for r, c in x.path))
-    return (0, str(x), 0, ())
-
-
-def _extend(x, role, concept):
-    if isinstance(x, ChaseInd):
-        return x.extend(role, concept)
-    return ChaseInd(x, ((role, concept),))
-
-
-def _mangle(x):
-    return x.mangled() if isinstance(x, ChaseInd) else str(x)
-
-
 def normalize_horn(tbox: TBox) -> Concept:
     """The single-inclusion form: C_T conjoining L -> R over all CIs."""
     parts = [Implies(l, r) for l, r in tbox.sorted_inclusions()]
@@ -87,6 +51,10 @@ def normalize_horn(tbox: TBox) -> Concept:
 class _Structure:
     """Labels, edges and blocking bookkeeping over chase individuals.
 
+    ``origin`` maps each anonymous individual y to (parent, role,
+    concept); two indexes are kept beside it: ``children`` maps x to
+    {(role, concept): y} and ``adj`` maps x to {role: set of successors}.
+
     Blocking compares full concept labels with a strict ancestor.  Without
     functional roles a node's subtree is determined by its label alone;
     with functionality it also depends on the incoming edge, so blocking
@@ -94,12 +62,16 @@ class _Structure:
     (the pairwise condition), mirroring the tableau's blocking choice.
     """
 
-    def __init__(self, labels, edges, bottom, pair_blocking=False):
+    def __init__(self, labels, origin, edges, bottom, pair_blocking=False):
         self.labels = labels   # individual -> set/frozenset of concepts
+        self.origin = origin   # anonymous individual -> (parent, role, concept)
+        self.children = {}     # x -> {(role, concept): y}
         self.edges = set()     # of (role name, x, y)
-        self.adj = {}          # x -> {(role, y)}: y is a role-successor of x
+        self.adj = {}          # x -> {role: set of role-successors of x}
         self.bottom = bottom
         self.pair_blocking = pair_blocking
+        for y, (x, role, concept) in origin.items():
+            self.children.setdefault(x, {})[(role, concept)] = y
         for e in edges:
             self.add_edge(e)
 
@@ -109,48 +81,52 @@ class _Structure:
             return False
         n, a, b = e
         self.edges.add(e)
-        self.adj.setdefault(a, set()).add((Role(n), b))
-        self.adj.setdefault(b, set()).add((Role(n, True), a))
+        self.adj.setdefault(a, {}).setdefault(Role(n), set()).add(b)
+        self.adj.setdefault(b, {}).setdefault(Role(n, True), set()).add(a)
         return True
 
+    def child(self, x, role: Role, concept: Concept, max_depth: int):
+        """x's (role, concept)-child, numbered on first use; None when a
+        new child would lie deeper than max_depth."""
+        kids = self.children.setdefault(x, {})
+        y = kids.get((role, concept))
+        if y is None and len(self.path(x)) < max_depth:
+            y = kids[(role, concept)] = len(self.origin)
+            self.origin[y] = (x, role, concept)
+            self.labels[y] = set()
+        return y
+
     def successors(self, x, role: Role):
-        return sorted((y for r, y in self.adj.get(x, ()) if r == role), key=_ind_key)
+        return self.adj.get(x, {}).get(role, ())
+
+    def path(self, x) -> list:
+        """The origin steps (parent, role, concept) from x up to its root."""
+        steps = []
+        while x in self.origin:
+            steps.append(self.origin[x])
+            x = steps[-1][0]
+        return steps
+
+    def name(self, x) -> str:
+        """The printed name: an anonymous individual is a.r1.C1...rk.Ck."""
+        steps = self.path(x)
+        parts = [str(steps[-1][0] if steps else x)]
+        for _, role, concept in reversed(steps):
+            c = re.sub(r"[^A-Za-z0-9_]+", "_", print_concept(concept)).strip("_")
+            parts.append(f"{role.name}{'_inv' if role.inverted else ''}.{c}")
+        return ".".join(parts)
 
     def blocker_of(self, x):
         """The nearest strict ancestor qualifying as a blocker, if any."""
-        if not isinstance(x, ChaseInd):
-            return None
-        label = self.labels[x]
-        anc = x
-        while isinstance(anc, ChaseInd):
-            anc = anc.parent()
-            if not self.pair_blocking:
-                if anc in self.labels and self.labels[anc] == label:
-                    return anc
-                continue
-            if not isinstance(anc, ChaseInd):
-                break
-            if (anc in self.labels and self.labels[anc] == label
-                    and anc.path[-1] == x.path[-1]
-                    and self.labels.get(anc.parent()) == self.labels.get(x.parent())):
+        step = up = self.origin.get(x)
+        while up is not None:
+            anc = up[0]
+            up = self.origin.get(anc)
+            if self.labels[anc] == self.labels[x] and (not self.pair_blocking or (
+                    up is not None and up[1:] == step[1:]
+                    and self.labels[up[0]] == self.labels[step[0]])):
                 return anc
         return None
-
-    def child_edges(self, x):
-        """Tree-child edges of x: (role, child) with child = x.(role,C)."""
-        out = [(r, y) for r, y in self.adj.get(x, ())
-               if isinstance(y, ChaseInd) and y.path and y.parent() == x
-               and y.path[-1][0].inverted == r.inverted]
-        return sorted(out, key=lambda p: (p[0], _ind_key(p[1])))
-
-    def virtual_edges(self, x):
-        """Outgoing edges of x in the virtual completed ABox: x's own
-        edges, plus the blocker's child edges when x is blocked."""
-        out = list(self.adj.get(x, ()))
-        blocker = self.blocker_of(x)
-        if blocker is not None:
-            out.extend(self.child_edges(blocker))
-        return sorted(set(out), key=lambda p: (p[0], _ind_key(p[1])))
 
     def match(self, concept: Concept, x, virtual: bool) -> bool:
         if isinstance(concept, Top):
@@ -166,12 +142,13 @@ class _Structure:
             return self.match(concept.left, x, virtual) or \
                 self.match(concept.right, x, virtual)
         if isinstance(concept, Exists):
-            if virtual:
-                edges = self.virtual_edges(x)
-            else:
-                edges = [(concept.role, b) for b in self.successors(x, concept.role)]
-            return any(role == concept.role and self.match(concept.filler, b, virtual)
-                       for role, b in edges)
+            ys = list(self.successors(x, concept.role))
+            # a blocked individual also has its blocker's children
+            blocker = self.blocker_of(x) if virtual else None
+            if blocker is not None:
+                ys += [y for (role, _), y in self.children.get(blocker, {}).items()
+                       if role == concept.role]
+            return any(self.match(concept.filler, y, virtual) for y in ys)
         raise ValueError(f"not an ELIU-bottom constructor: {type(concept).__name__}")
 
 
@@ -191,6 +168,9 @@ def syntactic_match(state, concept: Concept, x, follow_blockers: bool = False) -
 class Completion:
     """Result of a completion run: a finite slice of the extended ABox.
 
+    The keys of ``labels`` are the ABox individuals, by name, and the
+    anonymous individuals, numbered from 0; ``origin`` maps each number
+    to the (parent, role, concept) step that made it.
     ``status`` is 'complete' when no rule is applicable (given blocking),
     'budget-exhausted' when depth or assertion caps cut the run short.
     """
@@ -198,6 +178,7 @@ class Completion:
     abox: ABox
     c_t: Concept
     labels: dict            # individual -> frozenset of concepts
+    origin: dict            # anonymous individual -> (parent, role, concept)
     edges: frozenset        # (role name, individual, individual)
     status: str
     bottom: bool
@@ -205,11 +186,13 @@ class Completion:
 
     @cached_property
     def _structure(self) -> _Structure:
-        return _Structure(self.labels, self.edges, self.bottom,
+        return _Structure(self.labels, self.origin, self.edges, self.bottom,
                           pair_blocking=bool(self.tbox.functional))
 
-    def individuals(self):
-        return sorted(self.labels, key=_ind_key)
+    def _check_named(self, individuals) -> None:
+        for a in individuals:
+            if a not in self.labels or a in self.origin:
+                raise ValueError(f"{a!r} is not an ABox individual")
 
     def matches(self, concept: Concept, x) -> bool:
         """Blocking-aware syntactic match on the virtual completed ABox."""
@@ -237,10 +220,8 @@ class Completion:
         """Materialize the virtual completed ABox, unrolling blocked loops
         to tree depth (deepest real node + extra_depth)."""
         s = self._structure
-        max_real = max((len(x.path) for x in self.labels if isinstance(x, ChaseInd)),
-                       default=0)
-        limit = max_real + extra_depth
-        bases = sorted(self.abox.individuals())
+        limit = max((len(s.path(y)) for y in self.origin), default=0) + extra_depth
+        bases = self.abox.individuals()
         cext = {}
         rext = {}
 
@@ -263,8 +244,8 @@ class Completion:
             for elem, x in frontier:
                 blocker = s.blocker_of(x)
                 rep = blocker if blocker is not None else x
-                for role, child in s.child_edges(rep):
-                    step = child.path[-1]
+                for step, child in s.children.get(rep, {}).items():
+                    role = step[0]
                     celem = elem + (step,) if isinstance(elem, tuple) else (elem, step)
                     if role.inverted:
                         rext.setdefault(role.name, set()).add((celem, elem))
@@ -288,21 +269,22 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
     """Exhaustive fair application of R1-R7 with ancestor-label blocking.
 
     Rules are applied in rounds until no rule adds anything, which is fair:
-    every applicable rule instance is reconsidered each round.  With an
-    ``order_seed`` the per-round processing order is shuffled; the Boolean
-    outputs (bottom, entailed queries) are insensitive to it.
+    every applicable rule instance is reconsidered each round.  A round
+    visits the ABox individuals by name, then the anonymous ones by
+    number.  With an ``order_seed`` the per-round processing order is
+    shuffled; the Boolean outputs (bottom, entailed queries) are
+    insensitive to it.
     """
     if not is_horn_alcfi(tbox):
         raise ValueError("completion requires a Horn-ALCFI TBox")
     c_t = normalize_horn(tbox)
     functional = tbox.functional
 
-    labels = {}
+    labels = {a: set() for a in sorted(abox.individuals())}
     for name, a in abox.concept_assertions:
-        labels.setdefault(a, set()).add(Atom(name))
-    for a in abox.individuals():
-        labels.setdefault(a, set())
-    struct = _Structure(labels, abox.role_assertions, False, pair_blocking=bool(functional))
+        labels[a].add(Atom(name))
+    struct = _Structure(labels, {}, abox.role_assertions, False,
+                        pair_blocking=bool(functional))
     assertions = sum(len(v) for v in labels.values()) + len(struct.edges)
     rng = random.Random(order_seed) if order_seed is not None else None
     trace = []
@@ -317,7 +299,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         label.add(c)
         assertions += 1
         if keep_trace:
-            trace.append((rule, premise, f"{print_concept(c)}({_mangle(x)})"))
+            trace.append((rule, premise, f"{print_concept(c)}({struct.name(x)})"))
         # complementary literals clash: the right-hand grammar admits
         # negated names, and A with not A is as inconsistent as bot
         if isinstance(c, Bot) or \
@@ -336,79 +318,50 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
             return False
         assertions += 1
         if keep_trace:
-            trace.append((rule, premise, f"{e[0]}({_mangle(e[1])},{_mangle(e[2])})"))
+            trace.append((rule, premise,
+                          f"{e[0]}({struct.name(e[1])},{struct.name(e[2])})"))
         return True
 
     def expandable(x):
         # R4/R6 are suppressed at blocked individuals and below them
-        node = x
-        while True:
-            if struct.blocker_of(node) is not None:
-                return False
-            if not isinstance(node, ChaseInd):
-                return True
-            node = node.parent()
+        return all(struct.blocker_of(y) is None
+                   for y in [x, *(parent for parent, _, _ in struct.path(x))])
 
     changed = True
     while changed and not bottom:
         changed = False
-        inds = sorted(labels, key=_ind_key)
+        inds = list(labels)
         if rng is not None:
             rng.shuffle(inds)
         for x in inds:
-            if add_concept(x, c_t, "R1", _mangle(x) if keep_trace else None):
-                changed = True
+            changed |= add_concept(x, c_t, "R1", struct.name(x) if keep_trace else None)
         for x in inds:
             for c in sorted(labels[x], key=concept_sort_key):
-                prem = f"{print_concept(c)}({_mangle(x)})" if keep_trace else None
+                prem = f"{print_concept(c)}({struct.name(x)})" if keep_trace else None
                 if isinstance(c, And):
-                    if add_concept(x, c.left, "R2", prem):
-                        changed = True
-                    if add_concept(x, c.right, "R2", prem):
-                        changed = True
+                    changed |= add_concept(x, c.left, "R2", prem)
+                    changed |= add_concept(x, c.right, "R2", prem)
                 elif isinstance(c, Implies):
                     # the premise match follows blockers: a deep match may
                     # run through a blocked individual's virtual subtree
                     if struct.match(c.left, x, True):
-                        if add_concept(x, c.right, "R3", prem):
-                            changed = True
+                        changed |= add_concept(x, c.right, "R3", prem)
                 elif isinstance(c, Forall):
                     for y in struct.successors(x, c.role):
-                        if add_concept(y, c.filler, "R7", prem):
-                            changed = True
+                        changed |= add_concept(y, c.filler, "R7", prem)
                 elif isinstance(c, Exists):
-                    if c.role in functional:
-                        existing = struct.successors(x, c.role)
-                        if existing:
-                            for y in existing:  # R5
-                                if add_concept(y, c.filler, "R5", prem):
-                                    changed = True
-                            continue
-                        if not expandable(x):  # R6
-                            continue
-                        y = _extend(x, c.role, c.filler)
-                        if len(y.path) > max_depth:
+                    existing = c.role in functional and struct.successors(x, c.role)
+                    if existing:
+                        for y in existing:  # R5
+                            changed |= add_concept(y, c.filler, "R5", prem)
+                    elif expandable(x):  # R4, or R6 for a functional role
+                        y = struct.child(x, c.role, c.filler, max_depth)
+                        if y is None:
                             truncated = True
                             continue
-                        if y not in labels:
-                            labels[y] = set()
-                        if add_edge(x, c.role, y, "R6", prem):
-                            changed = True
-                        if add_concept(y, c.filler, "R6", prem):
-                            changed = True
-                    else:
-                        if not expandable(x):  # R4
-                            continue
-                        y = _extend(x, c.role, c.filler)
-                        if len(y.path) > max_depth:
-                            truncated = True
-                            continue
-                        if y not in labels:
-                            labels[y] = set()
-                        if add_edge(x, c.role, y, "R4", prem):
-                            changed = True
-                        if add_concept(y, c.filler, "R4", prem):
-                            changed = True
+                        rule = "R6" if c.role in functional else "R4"
+                        changed |= add_edge(x, c.role, y, rule, prem)
+                        changed |= add_concept(y, c.filler, rule, prem)
             if bottom:
                 break
             if assertions > max_assertions:
@@ -419,16 +372,14 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
             break
         # unique names: a functional role with two distinct successors clashes
         for role in sorted(functional):
-            for x in sorted(labels, key=_ind_key):
-                ys = set(struct.successors(x, role))
-                if len(ys) >= 2:
-                    if add_concept(x, Bot(), "Rf",
-                                   f"{role}({_mangle(x)}) has two successors"):
-                        changed = True
+            for x in labels:
+                if len(struct.successors(x, role)) >= 2:
+                    changed |= add_concept(x, Bot(), "Rf",
+                                           f"{role}({struct.name(x)}) has two successors")
 
     status = "complete" if (bottom or not truncated) else "budget-exhausted"
     return Completion(tbox, abox, c_t,
-                      {k: frozenset(v) for k, v in labels.items()},
+                      {k: frozenset(v) for k, v in labels.items()}, struct.origin,
                       frozenset(struct.edges), status, bottom, tuple(trace))
 
 
@@ -440,10 +391,11 @@ def horn_entails_eliq(tbox: TBox, abox: ABox, q, individual,
                       completion: Optional[Completion] = None) -> bool:
     """Certain answer of the ELIQ at the individual under a Horn TBox:
     the completion syntactically matches the query concept, or derived
-    bottom.  Raises InconclusiveError when the budget ran out without a
-    positive answer."""
+    bottom.  Raises ValueError when the individual is not in the ABox, and
+    InconclusiveError when the budget ran out without a positive answer."""
     concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     c = completion if completion is not None else complete(tbox, abox)
+    c._check_named((individual,))
     if c.bottom:
         return True
     if c.matches(concept, individual):
@@ -457,8 +409,10 @@ def horn_certain_answer_cq(tbox: TBox, abox: ABox, q, answers: tuple,
                            completion: Optional[Completion] = None) -> bool:
     """Certain answer for a CQ/UCQ under a Horn TBox, evaluated on the
     canonical interpretation with the blocked frontier unrolled to the
-    query's variable count."""
+    query's variable count.  Raises ValueError when an answer is not an
+    ABox individual."""
     c = completion if completion is not None else complete(tbox, abox)
+    c._check_named(answers)
     if c.bottom:
         return True
     if isinstance(q, (ELIQ, ELQ)):

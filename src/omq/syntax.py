@@ -31,8 +31,8 @@ from typing import Iterator, Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-KEYWORDS = {"top", "bot", "not", "and", "or", "implies", "some", "all",
-            "inv", "sub", "func", "exists"}
+KEYWORDS = frozenset({"top", "bot", "not", "and", "or", "implies", "some", "all",
+                      "inv", "sub", "func", "exists"})
 
 
 class ParseError(ValueError):

@@ -9,12 +9,13 @@ from omq.syntax import (
 )
 from omq.semantics import Interpretation, eval_concept, is_model, match_query
 from omq.chase import (
-    ChaseInd, Completion, InconclusiveError, complete, horn_certain_answer_cq,
+    Completion, InconclusiveError, complete, horn_certain_answer_cq,
     horn_entails_eliq, normalize_horn, syntactic_match,
 )
 from omq.tableau import abox_consistent
+from omq.types import entails_eliq
 
-from genutil import rand_abox, rand_horn_tbox
+from genutil import rand_abox, rand_eli_concept, rand_horn_tbox, rand_role
 from oracles import enumerate_interpretations
 
 A, B = Atom("A"), Atom("B")
@@ -50,12 +51,12 @@ def test_match_bottom_is_global():
 def test_complete_exists_r_blocks():
     c = complete(T_EXISTS_R, parse_abox("A(a)"))
     assert c.status == "complete"
-    witness = ChaseInd("a", ((r, A),))
+    witness, = (y for y, step in c.origin.items() if step == ("a", r, A))
     assert witness in c.labels
     assert A in c.labels[witness]
     assert ("r", "a", witness) in c.edges
     # blocked on the repeated label set: no deeper individual
-    assert all(not (isinstance(x, ChaseInd) and len(x.path) > 1) for x in c.labels)
+    assert all(parent not in c.origin for parent, _, _ in c.origin.values())
 
 
 def test_complete_exists_l_derives():
@@ -68,7 +69,7 @@ def test_complete_functional_pushes_to_existing_successor():
     t = parse_tbox("func(r)\nA sub some r.B")
     c = complete(t, parse_abox("A(a)\nr(a,b)"))
     assert B in c.labels["b"]
-    assert all(not isinstance(x, ChaseInd) for x in c.labels)
+    assert not c.origin
 
 
 def test_complete_functional_clash_under_unique_names():
@@ -169,6 +170,45 @@ def test_ex5b_query_not_entailed():
     assert horn_entails_eliq(T_EXISTS_R, a, deep, "a")
 
 
+def test_entails_rejects_a_name_outside_the_abox():
+    a = parse_abox("A(a)")
+    with pytest.raises(ValueError):
+        horn_entails_eliq(parse_tbox("A sub B"), a, ELIQ(B, "x"), "nobody")
+    # anonymous individuals are numbered, and a number names none of the ABox
+    with pytest.raises(ValueError):
+        horn_entails_eliq(T_EXISTS_R, a, ELIQ(A, "x"), 0)
+
+
+def test_entails_rejects_a_name_outside_an_inconsistent_abox():
+    with pytest.raises(ValueError):
+        horn_entails_eliq(parse_tbox("A sub bot"), parse_abox("A(a)"), ELIQ(B, "x"),
+                          "nobody")
+
+
+def test_chase_agrees_with_tableau_on_inverse_and_functional_roles():
+    rng = random.Random(3307)
+    roles = ("r", "s")
+    checked = functional = 0
+    for _ in range(200):
+        t = rand_horn_tbox(rng, n_inclusions=3, depth=2, concepts=("A", "B"),
+                           roles=roles, allow_inverse=True)
+        if rng.random() < 0.5:
+            t = TBox(t.inclusions, frozenset({rand_role(rng, roles)}))
+        a = rand_abox(rng, n_individuals=3, n_assertions=4,
+                      concepts=("A", "B"), roles=roles)
+        qs = [rand_eli_concept(rng, 2, ("A", "B"), roles) for _ in range(6)]
+        c = complete(t, a)
+        if c.status != "complete":
+            continue
+        for q in qs:
+            for x in sorted(a.individuals()):
+                checked += 1
+                functional += bool(t.functional)
+                assert horn_entails_eliq(t, a, ELIQ(q, "x"), x, completion=c) == \
+                    entails_eliq(t, a, q, x)
+    assert checked > 1500 and functional > 500
+
+
 def test_deep_premise_matching_through_blocked_nodes():
     # the implication premise needs a 3-step descent; blocking must not
     # hide it
@@ -214,7 +254,7 @@ def test_canonical_is_model_when_unblocked():
         c = complete(t, a)
         if c.bottom or c.status != "complete":
             continue
-        if any(isinstance(x, ChaseInd) for x in c.labels):
+        if c.origin:
             continue  # blocked/placeholder-free slices only
         checked += 1
         assert is_model(c.interpretation(), t, a)
@@ -243,6 +283,12 @@ def test_ex5b_cq_form_not_entailed():
     # but matching the looping materialization shape inside one branch works
     q2 = CQ.of([("A", "y")], [("r", "x", "y")], ("x",))
     assert horn_certain_answer_cq(T_EXISTS_R, a, q2, ("a",))
+
+
+def test_cq_rejects_a_name_outside_the_abox():
+    q = CQ.of([("B", "x")], [], ("x",))
+    with pytest.raises(ValueError):
+        horn_certain_answer_cq(parse_tbox("A sub B"), parse_abox("A(a)"), q, ("nobody",))
 
 
 def test_cyclic_cq_on_chase():
@@ -293,6 +339,9 @@ def test_trace_names_rule_premise_and_conclusion():
     clash = complete(parse_tbox("func(r)\ntop sub top"), parse_abox("r(a,b1)\nr(a,b2)"),
                      keep_trace=True)
     assert clash.trace[-1] == ("Rf", "r(a) has two successors", "bot(a)")
+    deep = complete(parse_tbox("A sub some inv(r).B\nB sub some r.C"), parse_abox("A(a)"),
+                    keep_trace=True)
+    assert ("R4", "some r.C(a.r_inv.B)", "r(a.r_inv.B,a.r_inv.B.r.C)") in deep.trace
     assert complete(t, parse_abox("A(a)\nr(a,b)")).trace == ()
 
 

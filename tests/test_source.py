@@ -49,3 +49,31 @@ def test_library_imports_only_what_it_uses():
             tree = ast.parse(path.read_text(), str(path))
             found += [f"{path.name}:{u}" for u in _unused_imports(tree)]
     assert not found
+
+
+MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict"})
+
+
+def _is_mutable_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set,
+                          ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        f = value.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        return name in MUTABLE_CALLS
+    return False
+
+
+def test_library_keeps_no_process_global_state():
+    # state shared by every caller in the process lets one call (or test)
+    # change the next: no global statement, no module-level mutable container
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}: global" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+        found += [f"{path.name}:{node.lineno}: mutable container" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and node.value is not None and _is_mutable_container(node.value)]
+    assert not found
