@@ -22,14 +22,14 @@ from typing import Optional
 
 from .syntax import (
     ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not,
-    Or, Role, TBox, Top, concept_names, concept_sort_key, disjoin,
+    Or, Role, TBox, Top, concept_names, disjoin,
     roles_of_concept,
 )
 from .semantics import (
     Interpretation, arc_consistency, find_homomorphism, hom_problem, is_model,
 )
 from .tableau import abox_consistent
-from .types import omitting_succ_relation, types_omitting
+from .types import omitting_tbox, succ_relation, types_omitting
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def csp_hom(abox: ABox, template: Template) -> Optional[dict]:
 
 def template_from_omq(tbox: TBox, q) -> Template:
     """The homomorphism-duality template of the Boolean tree query w.r.t.
-    the TBox: individuals are the query-omitting types, with the successor
-    relation relativized to query-omitting models.
+    the TBox: the type structure (``types.succ_relation``) of the
+    query-omitting types, relativized to query-omitting models.
 
     Requires an ALC/ALCI TBox (functional roles break the CSP bridge).
     """
@@ -111,19 +111,9 @@ def template_from_omq(tbox: TBox, q) -> Template:
         raise ValueError("template construction requires an ALC/ALCI TBox")
     concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     sigma = Signature.of_tbox(tbox).union(sig_of_query_concept(concept))
-    omitting = types_omitting(tbox, concept)
-    succ = omitting_succ_relation(tbox, concept, omitting)
-    ordered = sorted(omitting, key=lambda t: sorted(map(concept_sort_key, t)))
-    name = {t: f"t{i}" for i, t in enumerate(ordered)}
-    cext, rext = {}, {}
-    for t in ordered:
-        for c in t:
-            if isinstance(c, Atom) and c.name in sigma.concept_names:
-                cext.setdefault(c.name, set()).add(name[t])
-    for (t, role, t2) in succ:
-        if not role.inverted and role.name in sigma.role_names:
-            rext.setdefault(role.name, set()).add((name[t], name[t2]))
-    return Template(Interpretation.of(name.values(), (), cext, rext), sigma)
+    structure = succ_relation(omitting_tbox(tbox, concept), concept,
+                              types_omitting(tbox, concept))
+    return Template(structure, sigma)
 
 
 def certain_boolean_eliq_csp(tbox: TBox, abox: ABox, q,

@@ -21,10 +21,9 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .syntax import (
-    ABox, Atom, ELIQ, ELQ, Exists, Forall, Role, TBox, concept_sort_key,
-    dialect, is_horn_alcfi,
+    ABox, ELIQ, ELQ, Role, TBox, dialect, is_horn_alcfi,
 )
-from .types import compute_types, closure, closure_roles, succ_relation
+from .types import compute_types, succ_relation
 
 DOM = "dom"
 
@@ -296,22 +295,25 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
     """The monadic Datalog(!=) program for the OMQ (TBox, ELIQ).
 
     IDB relations stand for sets of types, written as bit masks over the
-    sorted types; only sets reachable from the concept-name seeds (and
-    the full set, seeded on the active domain) under role propagation and
-    intersection are materialized, which preserves the program's answers
-    since unreachable relations never derive a fact.  Propagation along a
-    role is the arc-consistency revision {t in S : some successor of t is
-    in S'}.  One worklist closes the family: each set, once taken from
-    it, is paired with itself and each set taken before it, so every rule
-    is emitted once.  The relation names are kept apart from the TBox's
-    and query's names.  Exceeding ``max_idbs`` reachable sets raises
-    SizeGuardError; a TBox or query using the built-in name ``dom``
-    raises ValueError.
+    types of ``compute_types`` in its order.  The program reads the type
+    structure of ``succ_relation``: its seed sets are the extensions of
+    the concept names, its moves the ``successors`` index.  Only sets
+    reachable from the concept-name seeds (and the full set, seeded on
+    the active domain) under role propagation and intersection are
+    materialized, which preserves the program's answers since unreachable
+    relations never derive a fact.  Propagation along a role is the
+    arc-consistency revision {t in S : some successor of t is in S'}.  One
+    worklist closes the family: each set, once taken from it, is paired
+    with itself and each set taken before it, so every rule is emitted
+    once.  The relation names are kept apart from the TBox's and query's
+    names.  Exceeding ``max_idbs`` reachable sets raises SizeGuardError;
+    a TBox or query using the built-in name ``dom`` raises ValueError.
     """
     concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    cl = closure(tbox, concept)
-    concept_names = sorted({c.name for c in cl if isinstance(c, Atom)})
-    roles = {c.role.name for c in cl if isinstance(c, (Exists, Forall))}
+    types = compute_types(tbox, concept)
+    structure = succ_relation(tbox, concept, types)
+    concept_names = sorted(structure.concept_ext)
+    roles = sorted(structure.role_ext)
     names = {*concept_names, *roles, *(r.name for r in tbox.functional)}
     if DOM in names:
         raise ValueError(f"{DOM!r} names the built-in active-domain relation")
@@ -320,15 +322,13 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
         prefix += "_"
     while goal in names:
         goal += "_"
-    types = compute_types(tbox, concept)
-    tlist = sorted(types, key=lambda t: sorted(map(concept_sort_key, t)))
-    index = {t: i for i, t in enumerate(tlist)}
-    moves = {role: [0] * len(tlist) for role in closure_roles(cl)}
-    for (t, role, t2) in succ_relation(tbox, concept, types):
-        moves[role][index[t]] |= 1 << index[t2]
+    bit = {f"t{i}": 1 << i for i in range(len(types))}
 
-    def mask(pred) -> int:
-        return sum(1 << i for i, t in enumerate(tlist) if pred(t))
+    def mask(points) -> int:
+        return sum(bit[p] for p in points)
+
+    moves = {role: [mask(structure.successors[role].get(p, ())) for p in bit]
+             for name in roles for role in (Role(name), Role(name, True))}
 
     def revise(succ: list, s: int, s2: int) -> int:
         return sum(1 << i for i in range(s.bit_length()) if s >> i & 1 and succ[i] & s2)
@@ -349,9 +349,9 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
         return DAtom(f"{prefix}{s:x}", (var,))
 
     x = ("x",)
-    seed_rules = [DRule(rel(mask(lambda t: True)), (DAtom(DOM, x),))]
+    seed_rules = [DRule(rel(mask(bit)), (DAtom(DOM, x),))]
     for a in concept_names:
-        seed_rules.append(DRule(rel(mask(lambda t: Atom(a) in t)), (DAtom(a, x),)))
+        seed_rules.append(DRule(rel(mask(structure.concept(a))), (DAtom(a, x),)))
     inter_rules, prop_rules = [], []
     done = 0
     while done < len(family):
@@ -368,7 +368,7 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
                         prop_rules.append(DRule(rel(target), (rel(a), edge(role, "x", "y"),
                                                               rel(b, "y"))))
 
-    holds = mask(lambda t: concept in t)
+    holds = sum(1 << i for i, t in enumerate(types) if concept in t)
     goal_rules = [DRule(DAtom(goal, x), (rel(s),)) for s in family if s & ~holds == 0]
     if 0 in known:
         goal_rules.append(DRule(DAtom(goal, x), (DAtom(DOM, x), rel(0, "y"))))

@@ -7,7 +7,8 @@ module: an ``Interpretation`` indexes itself once (``labels`` and
 ``hom_problem`` states a homomorphism question as candidate sets and
 arcs, ``arc_consistency`` refines candidate sets to their greatest
 arc-consistent subsets (AC-3), and ``_solve`` searches while keeping arc
-consistency.  Homomorphisms, simulations and CQ matches all run on it.
+consistency.  Homomorphisms, simulations and CQ matches all run on it,
+and so does type elimination in the types module.
 
 Domain elements are arbitrary hashable values; named individuals are the
 subset of the domain interpreted under the standard name assumption (the
@@ -191,13 +192,10 @@ def _match_peq(i: Interpretation, f, binding: dict) -> bool:
     if isinstance(f, POr):
         return _match_peq(i, f.left, binding) or _match_peq(i, f.right, binding)
     if isinstance(f, PExists):
-        for d in sorted(i.domain, key=_ekey):
-            binding[f.var] = d
-            if _match_peq(i, f.body, binding):
-                del binding[f.var]
-                return True
-        binding.pop(f.var, None)
-        return False
+        # the quantifier shadows an outer binding of its variable only
+        # within its body
+        return any(_match_peq(i, f.body, {**binding, f.var: d})
+                   for d in sorted(i.domain, key=_ekey))
     raise TypeError(f"not a PEQ formula: {f!r}")
 
 

@@ -1,19 +1,26 @@
 """The type machinery: negation closure, the set of TBox/query types,
-the role successor relation between types, and certain answers to tree
-queries by the tableau.
+the type structure over them, and certain answers to tree queries by the
+tableau.
 
 A type is the set of closure members true at some element of some model
 of the TBox; it is represented as a frozenset of concepts containing, for
 every closure member, either the member or its (single) negation.
 
-Type-set computation has a type-elimination fast path used when the
-TBox has no functionality assertions (where elimination is sound and
-complete and computes the successor relation as a byproduct); with
-functional roles each candidate is checked by the tableau instead.
+One compatibility index serves type elimination and the type structure.
+Along a role r, a type requires the fillers of its ``all r.C`` members
+and the negated fillers of its ``not some r.C`` members; t -> t' is
+compatible along r when t' holds every r-requirement of t and t every
+inverse-r requirement of t'.  The index keeps one bit set of types per
+closure member and, per role, each type's bit set of compatible
+successors.  Without functionality assertions, type elimination is the
+greatest fixpoint of arc consistency over the index and compatibility is
+the successor relation; with functional roles, the tableau confirms each
+candidate type and each compatible pair instead.
 """
 
 from __future__ import annotations
 
+from .semantics import Interpretation, arc_consistency
 from .syntax import (
     ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not,
     Or, Role, TBox, Top, concept_sort_key, conjoin, subconcepts,
@@ -41,40 +48,28 @@ def closure(tbox: TBox, c0: Concept) -> tuple:
 def closure_roles(cl) -> tuple:
     """Role names occurring in the closure, as roles plus their inverses."""
     names = sorted({c.role.name for c in cl if isinstance(c, (Exists, Forall))})
-    out = []
-    for n in names:
-        out.append(Role(n))
-        out.append(Role(n, True))
-    return tuple(out)
+    return tuple(Role(n, inverted) for n in names for inverted in (False, True))
+
+
+def omitting_tbox(tbox: TBox, c0: Concept) -> TBox:
+    """The TBox extended so that its models leave ``c0`` empty."""
+    return TBox(tbox.inclusions | {(Top(), Not(c0))}, tbox.functional)
 
 
 # ---------------------------------------------------------------------------
 # Candidate generation: Boolean-coherent subsets of the closure
 # ---------------------------------------------------------------------------
 
-def _base_of(cl) -> tuple:
-    seen = []
-    got = set()
-    for c in cl:
-        b = c.sub if isinstance(c, Not) else c
-        if b not in got:
-            got.add(b)
-            seen.append(b)
-    return tuple(seen)
-
-
 def _candidates(tbox: TBox, cl) -> list:
     """All Boolean-coherent sign assignments over the closure that satisfy
-    the TBox inclusions type-locally, as frozensets of true members."""
-    base = _base_of(cl)
-    decisions = [b for b in base
-                 if isinstance(b, (Atom, Exists, Forall))]
+    the TBox inclusions type-locally, as frozensets of true members, in
+    the canonical order of their sorted members."""
+    # the closure holds the unnegated form of each member, so these are
+    # its independent decisions
+    decisions = [c for c in cl if isinstance(c, (Atom, Exists, Forall))]
     if len(decisions) > MAX_TYPE_DECISIONS:
         raise BudgetExceededError(
             f"type space too large: {len(decisions)} independent decisions")
-
-    cl_set = set(cl)
-    out = []
 
     def val(c, sign) -> bool:
         if isinstance(c, Top):
@@ -91,79 +86,91 @@ def _candidates(tbox: TBox, cl) -> list:
             return (not val(c.left, sign)) or val(c.right, sign)
         return sign[c]
 
+    out = []
     n = len(decisions)
     for bits in range(1 << n):
         sign = {decisions[i]: bool(bits >> i & 1) for i in range(n)}
-        ok = True
-        for lhs, rhs in tbox.inclusions:
-            if val(lhs, sign) and not val(rhs, sign):
-                ok = False
-                break
-        if not ok:
-            continue
-        members = frozenset(c for c in cl_set if val(c, sign))
-        out.append(members)
-    return sorted(set(out), key=lambda t: sorted(map(concept_sort_key, t)))
+        if all(not val(lhs, sign) or val(rhs, sign) for lhs, rhs in tbox.inclusions):
+            # distinct sign assignments differ on a decision, itself a member
+            out.append(frozenset(c for c in cl if val(c, sign)))
+    return sorted(out, key=lambda t: sorted(map(concept_sort_key, t)))
 
 
 # ---------------------------------------------------------------------------
-# Type elimination (no functional roles)
+# The compatibility index
 # ---------------------------------------------------------------------------
 
-def _obligations(t):
-    """(role, required-member) pairs: positive existentials and negated
-    universals both demand a witness successor."""
-    out = []
-    for c in t:
-        if isinstance(c, Exists):
-            out.append((c.role, c.filler))
-        elif isinstance(c, Not) and isinstance(c.sub, Forall):
-            out.append((c.sub.role, _negate(c.sub.filler)))
-    return out
+def _bits(mask: int) -> list:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _compatible(t, role: Role, t2) -> bool:
-    """Necessary and (without functionality) sufficient condition for an
-    edge (d, e) in role^I between realizations of t and t2."""
-    for c in t:
-        if isinstance(c, Forall) and c.role == role:
-            if c.filler not in t2:
-                return False
-        elif isinstance(c, Not) and isinstance(c.sub, Exists) and c.sub.role == role:
-            if _negate(c.sub.filler) not in t2:
-                return False
-    inv = role.inverse()
-    for c in t2:
-        if isinstance(c, Forall) and c.role == inv:
-            if c.filler not in t:
-                return False
-        elif isinstance(c, Not) and isinstance(c.sub, Exists) and c.sub.role == inv:
-            if _negate(c.sub.filler) not in t:
-                return False
-    return True
-
-
-def _eliminate(candidates, cl) -> list:
-    survivors = list(candidates)
-    obligations = {t: _obligations(t) for t in survivors}
-    changed = True
-    while changed:
-        changed = False
-        keep = []
-        alive = set(survivors)
-        for t in survivors:
-            ok = True
-            for role, need in obligations[t]:
-                if not any(need in t2 and _compatible(t, role, t2) for t2 in alive):
-                    ok = False
-                    break
-            if ok:
-                keep.append(t)
+def _index(types, roles) -> tuple:
+    """``(holders, compat)``: each closure member's bit set of the
+    positions of the types holding it, and per role of ``roles`` the list
+    whose i-th entry is the bit set of the positions j with types[i] ->
+    types[j] compatible along the role."""
+    holders = {}
+    requirers = {}      # (role, requirement) -> bit set of the types requiring it
+    for i, t in enumerate(types):
+        for c in t:
+            holders[c] = holders.get(c, 0) | 1 << i
+            if isinstance(c, Forall):
+                need = (c.role, c.filler)
+            elif isinstance(c, Not) and isinstance(c.sub, Exists):
+                need = (c.sub.role, _negate(c.sub.filler))
             else:
-                alive.discard(t)
-                changed = True
-        survivors = keep
-    return survivors
+                continue
+            requirers[need] = requirers.get(need, 0) | 1 << i
+    everything = (1 << len(types)) - 1
+    compat = {}
+    for role in roles:
+        forward = [(c, bits) for (r, c), bits in requirers.items() if r == role]
+        backward = [(c, bits) for (r, c), bits in requirers.items() if r == role.inverse()]
+        row = []
+        for i, t in enumerate(types):
+            ok = everything
+            for c, bits in forward:
+                if bits >> i & 1:
+                    ok &= holders.get(c, 0)
+            for c, bits in backward:
+                if c not in t:
+                    ok &= ~bits
+            row.append(ok)
+        compat[role] = row
+    return holders, compat
+
+
+def _types(cl, models: TBox, budget: int) -> tuple:
+    """The types over the closure ``cl`` that some model of ``models``
+    realizes, in canonical order.
+
+    Without functional roles this is type elimination: one variable over
+    the candidates and one self-arc per obligation (role, filler), a
+    positive existential or a negated universal of some type.  The arc's
+    moves send a type with that obligation to its compatible successors
+    holding the filler, and a type without it to every candidate.
+    """
+    candidates = _candidates(models, cl)
+    if models.functional:
+        return tuple(t for t in candidates
+                     if satisfiable(conjoin(sorted(t, key=concept_sort_key)), models, budget))
+    holders, compat = _index(candidates, closure_roles(cl))
+    everyone = frozenset(range(len(candidates)))
+    witnesses = {}      # obligation -> the witnesses of each type having it
+    for i, t in enumerate(candidates):
+        for c in t:
+            if isinstance(c, Exists):
+                role, need = c.role, c.filler
+            elif isinstance(c, Not) and isinstance(c.sub, Forall):
+                role, need = c.sub.role, _negate(c.sub.filler)
+            else:
+                continue
+            witnesses.setdefault((role, need), {})[i] = frozenset(
+                _bits(compat[role][i] & holders.get(need, 0)))
+    arcs = [(0, dict.fromkeys(everyone, everyone) | moves) for moves in witnesses.values()]
+    alive = arc_consistency({0: everyone}, {0: arcs})
+    return tuple(candidates[i] for i in sorted(alive[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,65 +193,61 @@ def entails_eliq_disjunction(tbox: TBox, abox: ABox, disjuncts,
     """Disjunctive entailment T,A |= C_0(a_0) or ... or C_k(a_k), decided
     as inconsistency of the KB with every negated disjunct seeded."""
     extra = {}
+    inds = abox.individuals()
     for concept, individual in disjuncts:
+        if individual not in inds:
+            raise ValueError(f"{individual!r} is not an ABox individual")
         extra.setdefault(individual, []).append(Not(concept))
     return not abox_consistent(tbox, abox, extra_labels=extra, budget=budget)
 
 
-def _types(tbox: TBox, c0: Concept, models: TBox, budget: int) -> frozenset:
-    """The types over the closure of the TBox and ``c0`` that some model
-    of ``models`` realizes; ``models`` is the TBox itself or extends it."""
-    cl = closure(tbox, c0)
-    candidates = _candidates(models, cl)
-    if not models.functional:
-        return frozenset(_eliminate(candidates, cl))
-    return frozenset(t for t in candidates
-                     if satisfiable(conjoin(sorted(t, key=concept_sort_key)), models, budget))
-
-
-def _omitting(tbox: TBox, c0: Concept) -> TBox:
-    """The TBox extended so that its models leave ``c0`` empty."""
-    return TBox(tbox.inclusions | {(Top(), Not(c0))}, tbox.functional)
-
-
-def compute_types(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
-    """All types: maximal Boolean-coherent subsets of the closure whose
-    conjunction is satisfiable w.r.t. the TBox."""
+def compute_types(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
+    """All types, in canonical order: maximal Boolean-coherent subsets of
+    the closure whose conjunction is satisfiable w.r.t. the TBox."""
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    return _types(tbox, c0, tbox, budget)
+    return _types(closure(tbox, c0), tbox, budget)
 
 
-def succ_relation(tbox: TBox, q, types: frozenset,
-                  budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
-    """All triples (t, r, t') such that some model of the TBox realizes t
-    and t' at the endpoints of an r-edge; r ranges over the closure's role
-    names and their inverses."""
-    c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    cl = closure(tbox, c0)
-    roles = closure_roles(cl)
-    ordered = sorted(types, key=lambda t: sorted(map(concept_sort_key, t)))
-    # without functional roles the necessary conditions of _compatible are
-    # sufficient; with them they pre-filter the tableau's witness check
-    conj = {t: conjoin(sorted(t, key=concept_sort_key))
-            for t in ordered} if tbox.functional else {}
-    return frozenset(
-        (t, role, t2) for t in ordered for t2 in ordered for role in roles
-        if _compatible(t, role, t2) and (not tbox.functional or satisfiable(
-            And(conj[t], Exists(role, conj[t2])), tbox, budget)))
-
-
-def types_omitting(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
+def types_omitting(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
     """Types satisfiable in a model of the TBox whose extension of the
-    query concept is empty; the Boolean query ``exists x C(x)`` omits
-    exactly when every element avoids C.  The extended TBox's inclusion
-    top sub not C leaves out, type-locally, every candidate holding C."""
+    query concept is empty, in canonical order; the Boolean query
+    ``exists x C(x)`` omits exactly when every element avoids C.  The
+    omitting TBox's inclusion top sub not C leaves out, type-locally,
+    every candidate holding C."""
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    return _types(tbox, c0, _omitting(tbox, c0), budget)
+    return _types(closure(tbox, c0), omitting_tbox(tbox, c0), budget)
 
 
-def omitting_succ_relation(tbox: TBox, q, types: frozenset,
-                           budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
-    """Successor relation among q-omitting types, relativized to models
-    where the query concept is empty (the world the template lives in)."""
+def succ_relation(tbox: TBox, q, types, budget: int = DEFAULT_NODE_BUDGET) -> Interpretation:
+    """The type structure of ``types``, which ``compute_types`` or
+    ``types_omitting`` gave for the query: its points are t0, ...,
+    t{n-1}, standing for the types in the given order; every closure
+    concept name has the points whose type holds it, and every closure
+    role name the pairs (t, t') that some model of the TBox realizes at
+    the endpoints of an edge of that role.  Its ``successors`` index walks
+    the inverse roles as well.
+
+    With functional roles each compatible pair along a role name is
+    confirmed by the tableau; its inverse is the same edge read backwards.
+    """
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    return succ_relation(_omitting(tbox, c0), c0, types, budget)
+    # a type holds each closure member or its negation, so any type
+    # spells out the closure
+    cl = types[0] | {_negate(c) for c in types[0]} if types else closure(tbox, c0)
+    roles = closure_roles(cl)[::2]      # the role names; inverses walk their edges back
+    holders, compat = _index(types, roles)
+    if tbox.functional:
+        conj = [conjoin(sorted(t, key=concept_sort_key)) for t in types]
+        for role in roles:
+            row = compat[role]
+            for i, ok in enumerate(row):
+                for j in _bits(ok):
+                    if not satisfiable(And(conj[i], Exists(role, conj[j])), tbox, budget):
+                        row[i] &= ~(1 << j)
+    points = [f"t{i}" for i in range(len(types))]
+    cext = {c.name: [points[i] for i in _bits(holders.get(c, 0))]
+            for c in cl if isinstance(c, Atom)}
+    rext = {role.name: [(points[i], points[j]) for i, ok in enumerate(compat[role])
+                        for j in _bits(ok)]
+            for role in roles}
+    return Interpretation.of(points, (), cext, rext)

@@ -9,9 +9,11 @@ from dataclasses import dataclass
 
 from omq.semantics import Interpretation, eval_concept, is_model, match_query
 from omq.syntax import (
-    ABox, Atom, CQ, Concept, ELIQ, ELQ, Exists, PAnd, PAtom, PEQ, POr, Query,
-    Role, TBox, UCQ, concept_names, conjoin,
+    ABox, And, Atom, CQ, Concept, ELIQ, ELQ, Exists, Forall, Not, PAnd, PAtom,
+    PEQ, POr, Query, Role, TBox, UCQ, concept_names, concept_sort_key, conjoin,
 )
+from omq.tableau import satisfiable
+from omq.types import _candidates
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,82 @@ def unravel_abox(abox: ABox, depth: int) -> UnravelingSlice:
 # ---------------------------------------------------------------------------
 # Types, ABox isomorphism and tree-shaped CQs
 # ---------------------------------------------------------------------------
+
+def _negate(c: Concept) -> Concept:
+    return c.sub if isinstance(c, Not) else Not(c)
+
+
+def compatible(t, role: Role, t2) -> bool:
+    """Necessary and (without functionality) sufficient condition for an
+    edge (d, e) in role^I between realizations of t and t2, checked by
+    scanning both types."""
+    for c in t:
+        if isinstance(c, Forall) and c.role == role:
+            if c.filler not in t2:
+                return False
+        elif isinstance(c, Not) and isinstance(c.sub, Exists) and c.sub.role == role:
+            if _negate(c.sub.filler) not in t2:
+                return False
+    inv = role.inverse()
+    for c in t2:
+        if isinstance(c, Forall) and c.role == inv:
+            if c.filler not in t:
+                return False
+        elif isinstance(c, Not) and isinstance(c.sub, Exists) and c.sub.role == inv:
+            if _negate(c.sub.filler) not in t:
+                return False
+    return True
+
+
+def _conjunction(t) -> Concept:
+    return conjoin(sorted(t, key=concept_sort_key))
+
+
+def reference_types(cl, models: TBox) -> tuple:
+    """The types over the closure ``cl`` realized in models of ``models``,
+    in canonical order: with functional roles one tableau call per
+    candidate, else type elimination that rescans the survivors pair by
+    pair until every existential and negated universal of each has a
+    compatible witness."""
+    candidates = _candidates(models, cl)
+    if models.functional:
+        return tuple(t for t in candidates if satisfiable(_conjunction(t), models))
+    obligations = {}
+    for t in candidates:
+        obligations[t] = [(c.role, c.filler) for c in t if isinstance(c, Exists)] + [
+            (c.sub.role, _negate(c.sub.filler)) for c in t
+            if isinstance(c, Not) and isinstance(c.sub, Forall)]
+    survivors = list(candidates)
+    changed = True
+    while changed:
+        alive = set(survivors)
+        keep = [t for t in survivors
+                if all(any(need in t2 and compatible(t, role, t2) for t2 in alive)
+                       for role, need in obligations[t])]
+        changed = len(keep) < len(survivors)
+        survivors = keep
+    return tuple(survivors)
+
+
+def reference_successors(types, roles, tbox: TBox) -> frozenset:
+    """Every triple (t, r, t') with r in ``roles`` and t -> t' compatible
+    along r; with functional roles each triple, inverse roles included,
+    is also checked on its own by the tableau."""
+    return frozenset(
+        (t, role, t2) for t in types for t2 in types for role in roles
+        if compatible(t, role, t2) and (not tbox.functional or satisfiable(
+            And(_conjunction(t), Exists(role, _conjunction(t2))), tbox)))
+
+
+def structure_triples(types, structure: Interpretation) -> frozenset:
+    """The triples (t, r, t') of a type structure whose point ``t{i}``
+    stands for ``types[i]``, r ranging over its role names and their
+    inverses."""
+    point = {f"t{i}": t for i, t in enumerate(types)}
+    return frozenset((point[d], role, point[e])
+                     for role, moves in structure.successors.items()
+                     for d, es in moves.items() for e in es)
+
 
 def realized_type(cl, interpretation, element) -> frozenset:
     """The set of closure members true at the element: the semantic

@@ -370,6 +370,22 @@ def test_unraveling_entails_agrees_with_explicit_slices():
     assert 0 < entailed < 150
 
 
+def test_csp_route_agrees_with_tableau_random():
+    # homomorphism duality against the tableau on ALC and ALCI TBoxes
+    rng = random.Random(2026)
+    entailed = 0
+    for k in range(400):
+        inverse = k % 2 == 0
+        t = rand_tbox(rng, n_inclusions=2, depth=1, allow_inverse=inverse)
+        a = rand_abox(rng, n_individuals=3, n_assertions=5)
+        c = rand_eli_concept(rng, depth=2, allow_inverse=inverse)
+        ind = rng.choice(sorted(a.individuals()))
+        expected = entails_eliq(t, a, c, ind)
+        assert certain_answer_eliq_csp(t, a, c, ind) == expected, (t, a, c, ind)
+        entailed += expected
+    assert 40 < entailed < 360
+
+
 # -- enriched abstraction -----------------------------------------------------
 
 def test_abstraction_no_hidden_names():

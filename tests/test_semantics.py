@@ -5,7 +5,7 @@ import pytest
 
 from omq.syntax import (
     ABox, And, Atom, Bot, CQ, ELIQ, ELQ, Exists, Forall, Not, Or, Role, TBox,
-    Top, eliq_to_cq, parse_abox, parse_tbox, peq_to_ucq,
+    Top, eliq_to_cq, parse_abox, parse_query, parse_tbox, peq_to_ucq,
 )
 from omq.semantics import (
     Interpretation, arc_consistency, eval_concept, find_homomorphism,
@@ -404,3 +404,15 @@ def test_bruteforce_case_split():
     assert holds and not complete
     holds2, complete2 = bruteforce_certain_answer(t, a, ELIQ(A, "x"), ("a",))
     assert not holds2 and complete2  # countermodel found: refutation is exact
+
+
+@pytest.mark.parametrize("text", [
+    "peq(x): exists y. (r(x,y) and exists y. {name}(y))",
+    "peq(x): exists y. ((exists y. {name}(y)) and r(x,y))",
+], ids=["inner_after", "inner_before"])
+def test_peq_match_restores_a_shadowed_variable(text):
+    # an inner quantifier reusing a variable name binds it only in its body
+    i = Interpretation.from_abox(parse_abox("r(a,b)\nB(c)"))
+    for name, expected in (("B", True), ("D", False)):
+        q = parse_query(text.format(name=name))
+        assert match_query(i, q, ("a",)) == match_query(i, peq_to_ucq(q), ("a",)) == expected

@@ -5,17 +5,19 @@ import pytest
 
 from omq.syntax import (
     ABox, And, Atom, Bot, ELIQ, Exists, Forall, Implies, Not, Or, Role, TBox,
-    Top, parse_abox, parse_tbox,
+    Top, parse_abox, parse_concept, parse_tbox,
 )
 from omq.semantics import Interpretation, eval_concept, is_model
 from omq.types import (
-    closure, compute_types, entails_eliq, entails_eliq_disjunction,
-    succ_relation, types_omitting,
+    closure, closure_roles, compute_types, entails_eliq, entails_eliq_disjunction,
+    omitting_tbox, succ_relation, types_omitting,
 )
 from omq.tableau import BudgetExceededError, abox_consistent, nnf, satisfiable
 
 from genutil import rand_concept, rand_tbox
-from oracles import realized_type
+from oracles import (
+    realized_type, reference_successors, reference_types, structure_triples,
+)
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -149,6 +151,8 @@ def test_entails_eliq():
     assert not entails_eliq(t, a, B, "a")
     with pytest.raises(ValueError):
         entails_eliq(t, a, A, "zz")
+    with pytest.raises(ValueError):
+        entails_eliq_disjunction(t, a, [(B, "zz"), (A, "a")])
 
 
 def test_entails_disjunction_without_disjunct():
@@ -203,8 +207,7 @@ def test_types_model_soundness_random():
             types = compute_types(t, q)
         except BudgetExceededError:
             continue
-        succ = succ_relation(t, q, types)
-        from omq.types import closure_roles
+        succ = structure_triples(types, succ_relation(t, q, types))
         covered = set(closure_roles(cl))
         for _k in range(6):
             i = rand_interpretation(rng, size=3, concepts=("A", "B"), roles=("r",))
@@ -240,7 +243,7 @@ def test_types_match_tableau_route():
 
 def test_succ_unconstrained():
     types = compute_types(EMPTY, ELIQ(Exists(r, A), "x"))
-    succ = succ_relation(EMPTY, ELIQ(Exists(r, A), "x"), types)
+    succ = structure_triples(types, succ_relation(EMPTY, ELIQ(Exists(r, A), "x"), types))
     # every pair is related unless the source denies an existential the
     # target would witness
     for t in types:
@@ -255,7 +258,7 @@ def test_succ_respects_value_restrictions():
     t = parse_tbox("A sub all r.B")
     q = ELIQ(B, "x")
     types = compute_types(t, q)
-    succ = succ_relation(t, q, types)
+    succ = structure_triples(types, succ_relation(t, q, types))
     for (t1, role, t2) in succ:
         if role == r and A in t1:
             assert B in t2
@@ -271,7 +274,7 @@ def test_succ_inversion_symmetry():
             types = compute_types(t, q)
         except BudgetExceededError:
             continue
-        succ = succ_relation(t, q, types)
+        succ = structure_triples(types, succ_relation(t, q, types))
         for (t1, role, t2) in succ:
             assert (t2, role.inverse(), t1) in succ
 
@@ -280,12 +283,53 @@ def test_succ_tableau_route_with_functionality():
     t = parse_tbox("func(r)\nA sub some r.B\nB sub not A")
     q = ELIQ(A, "x")
     types = compute_types(t, q)
-    succ = succ_relation(t, q, types)
+    succ = structure_triples(types, succ_relation(t, q, types))
     # a functional r-edge from an A-element must reach its unique witness,
     # which must then be a B-element
     for (t1, role, t2) in succ:
         if role == r and A in t1:
             assert B in t2
+
+
+# -- the type structure against the pairwise reference ------------------------
+
+def assert_structure_agrees(tbox, c0, omit):
+    """The types and every triple of the type structure, for all types or
+    for the ``c0``-omitting ones, equal the pairwise reference's."""
+    cl = closure(tbox, c0)
+    models = omitting_tbox(tbox, c0) if omit else tbox
+    types = types_omitting(tbox, c0) if omit else compute_types(tbox, c0)
+    assert types == reference_types(cl, models), (tbox, c0, omit)
+    structure = succ_relation(models, c0, types)
+    assert sorted(structure.domain, key=lambda p: int(p[1:])) == [
+        f"t{i}" for i in range(len(types))]
+    assert set(structure.concept_ext) == {c.name for c in cl if isinstance(c, Atom)}
+    assert set(structure.role_ext) == {role.name for role in closure_roles(cl)}
+    assert structure_triples(types, structure) == reference_successors(
+        types, closure_roles(cl), models), (tbox, c0, omit)
+
+
+def test_type_structure_agrees_with_pairwise_reference_random():
+    rng = random.Random(2024)
+    functional = 0
+    for k in range(60):
+        inverse = k % 2 == 0
+        t = rand_tbox(rng, n_inclusions=2, depth=1, concepts=("A", "B"),
+                      roles=("r", "s"), allow_inverse=inverse, allow_functional=True)
+        c0 = rand_concept(rng, depth=1, concepts=("A", "B"), roles=("r", "s"),
+                          allow_inverse=inverse)
+        for omit in (False, True):
+            assert_structure_agrees(t, c0, omit)
+        functional += bool(t.functional)
+    assert 15 < functional < 45
+
+
+def test_type_structure_agrees_with_pairwise_reference_on_216_types():
+    # the largest template of the unraveling-slice corpus
+    t = parse_tbox("A sub top\nsome r.C sub B or bot\nsome inv(s).C sub some r.B")
+    c0 = parse_concept("P_mark and some s.some inv(r).top")
+    assert len(types_omitting(t, c0)) == 216
+    assert_structure_agrees(t, c0, omit=True)
 
 
 # -- types_omitting -----------------------------------------------------------
@@ -300,7 +344,7 @@ def test_omitting_bot_query():
 
 def test_omitting_forced_query_is_empty():
     t = parse_tbox("top sub A")
-    assert types_omitting(t, ELIQ(A, "x")) == frozenset()
+    assert types_omitting(t, ELIQ(A, "x")) == ()
 
 
 def test_omitting_value_restriction_three_types():
