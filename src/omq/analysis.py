@@ -87,14 +87,12 @@ def _apply_perm(slot, perm):
     return ("r", slot[1], perm[slot[2]], perm[slot[3]])
 
 
-def enumerate_aboxes(concepts, roles, max_individuals,
-                     exactly: Optional[int] = None):
-    """All non-empty ABoxes over the signature with at most (or exactly)
-    the given number of individuals, one per isomorphism class, every
-    individual occurring in some assertion.  Deterministic order: by
-    individual count, then by assertion bitmask."""
-    sizes = [exactly] if exactly is not None else range(1, max_individuals + 1)
-    for n in sizes:
+def enumerate_aboxes(concepts, roles, max_individuals):
+    """All non-empty ABoxes over the signature with at most the given
+    number of individuals, one per isomorphism class, every individual
+    occurring in some assertion.  Deterministic order: by individual
+    count, then by assertion bitmask."""
+    for n in range(1, max_individuals + 1):
         names, slots = _slots(concepts, roles, n)
         index = {s: k for k, s in enumerate(slots)}
         perms = []

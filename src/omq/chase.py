@@ -128,7 +128,9 @@ class _Structure:
                 return anc
         return None
 
-    def match(self, concept: Concept, x, virtual: bool) -> bool:
+    def match(self, concept: Concept, x) -> bool:
+        """Syntactic match on the virtual completed ABox: a blocked
+        individual also has its blocker's children."""
         if isinstance(concept, Top):
             return True
         if isinstance(concept, Bot):
@@ -136,32 +138,17 @@ class _Structure:
         if isinstance(concept, Atom):
             return concept in self.labels.get(x, frozenset())
         if isinstance(concept, And):
-            return self.match(concept.left, x, virtual) and \
-                self.match(concept.right, x, virtual)
+            return self.match(concept.left, x) and self.match(concept.right, x)
         if isinstance(concept, Or):
-            return self.match(concept.left, x, virtual) or \
-                self.match(concept.right, x, virtual)
+            return self.match(concept.left, x) or self.match(concept.right, x)
         if isinstance(concept, Exists):
             ys = list(self.successors(x, concept.role))
-            # a blocked individual also has its blocker's children
-            blocker = self.blocker_of(x) if virtual else None
+            blocker = self.blocker_of(x)
             if blocker is not None:
                 ys += [y for (role, _), y in self.children.get(blocker, {}).items()
                        if role == concept.role]
-            return any(self.match(concept.filler, y, virtual) for y in ys)
+            return any(self.match(concept.filler, y) for y in ys)
         raise ValueError(f"not an ELIU-bottom constructor: {type(concept).__name__}")
-
-
-def syntactic_match(state, concept: Concept, x, follow_blockers: bool = False) -> bool:
-    """The has-a-syntactic-match relation for ELIU-bottom concepts.
-
-    ``state`` is a Completion (or compatible structure); bottom anywhere
-    matches bot at every individual.  With ``follow_blockers`` the virtual
-    completed structure is matched instead of the raw slice.
-    """
-    if not is_eliu_bot(concept):
-        raise ValueError("syntactic match is defined for ELIU-bottom concepts only")
-    return state._structure.match(concept, x, follow_blockers)
 
 
 @dataclass
@@ -195,8 +182,12 @@ class Completion:
                 raise ValueError(f"{a!r} is not an ABox individual")
 
     def matches(self, concept: Concept, x) -> bool:
-        """Blocking-aware syntactic match on the virtual completed ABox."""
-        return syntactic_match(self, concept, x, follow_blockers=True)
+        """The has-a-syntactic-match relation for ELIU-bottom concepts,
+        blocking-aware, on the virtual completed ABox; bottom derived
+        anywhere matches bot at every individual."""
+        if not is_eliu_bot(concept):
+            raise ValueError("syntactic match is defined for ELIU-bottom concepts only")
+        return self._structure.match(concept, x)
 
     def interpretation(self) -> Interpretation:
         """The canonical interpretation of the (raw) slice; refuses when
@@ -344,7 +335,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
                 elif isinstance(c, Implies):
                     # the premise match follows blockers: a deep match may
                     # run through a blocked individual's virtual subtree
-                    if struct.match(c.left, x, True):
+                    if struct.match(c.left, x):
                         changed |= add_concept(x, c.right, "R3", prem)
                 elif isinstance(c, Forall):
                     for y in struct.successors(x, c.role):

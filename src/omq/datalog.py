@@ -11,6 +11,11 @@ defines by its rules are left out.
 
 Evaluation is semi-naive, with joins through hash indexes on the bound
 argument positions.
+
+The rewriting is arc consistency of the ABox against the type structure
+written as rules (Feder & Vardi, SIAM J. Comput. 1998): seed, propagation
+and intersection rules over sets of types, where revise(S, S') along a
+role is S ∩ pre(S'), one propagation and one intersection.
 """
 
 from __future__ import annotations
@@ -295,19 +300,22 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
     """The monadic Datalog(!=) program for the OMQ (TBox, ELIQ).
 
     IDB relations stand for sets of types, written as bit masks over the
-    types of ``compute_types`` in its order.  The program reads the type
-    structure of ``succ_relation``: its seed sets are the extensions of
-    the concept names, its moves the ``successors`` index.  Only sets
-    reachable from the concept-name seeds (and the full set, seeded on
-    the active domain) under role propagation and intersection are
-    materialized, which preserves the program's answers since unreachable
-    relations never derive a fact.  Propagation along a role is the
-    arc-consistency revision {t in S : some successor of t is in S'}.  One
-    worklist closes the family: each set, once taken from it, is paired
-    with itself and each set taken before it, so every rule is emitted
-    once.  The relation names are kept apart from the TBox's and query's
-    names.  Exceeding ``max_idbs`` reachable sets raises SizeGuardError;
-    a TBox or query using the built-in name ``dom`` raises ValueError.
+    types of ``compute_types`` in its order, and the program reads the
+    type structure of ``succ_relation``.  Its rules have three shapes:
+    seeds ``P_S(x) :- A(x)``, S the types holding A, and
+    ``P_full(x) :- dom(x)``; one propagation ``P_pre(S)(x) :- r(x,y),
+    P_S(y)`` per set S and role or inverse role r, pre(S) being the types
+    with an r-successor in S (none when pre(S) is full); and one
+    intersection ``P_S∩S'(x) :- P_S(x), P_S'(x)`` per unordered pair whose
+    meet is neither set.  The revision revise(S, S') = S ∩ pre(S') is
+    thus derived, and the meet of the sets derived at an individual is its
+    arc-consistent candidate set.  Only sets reachable from the seeds
+    become relations.  The goal holds where that set lies inside the types
+    holding the query, everywhere once some set is empty or a functional
+    role has two successors.  Relation names are kept apart from the
+    TBox's and query's names.  Exceeding ``max_idbs`` reachable sets
+    raises SizeGuardError; a TBox or query using the built-in name ``dom``
+    raises ValueError.
     """
     concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     types = compute_types(tbox, concept)
@@ -323,15 +331,13 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
     while goal in names:
         goal += "_"
     bit = {f"t{i}": 1 << i for i in range(len(types))}
+    full = (1 << len(types)) - 1
 
     def mask(points) -> int:
         return sum(bit[p] for p in points)
 
     moves = {role: [mask(structure.successors[role].get(p, ())) for p in bit]
              for name in roles for role in (Role(name), Role(name, True))}
-
-    def revise(succ: list, s: int, s2: int) -> int:
-        return sum(1 << i for i in range(s.bit_length()) if s >> i & 1 and succ[i] & s2)
 
     def edge(role: Role, a: str, b: str) -> DAtom:
         return DAtom(role.name, (b, a) if role.inverted else (a, b))
@@ -349,24 +355,19 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
         return DAtom(f"{prefix}{s:x}", (var,))
 
     x = ("x",)
-    seed_rules = [DRule(rel(mask(bit)), (DAtom(DOM, x),))]
+    seed_rules = [DRule(rel(full), (DAtom(DOM, x),))]
     for a in concept_names:
         seed_rules.append(DRule(rel(mask(structure.concept(a))), (DAtom(a, x),)))
     inter_rules, prop_rules = [], []
-    done = 0
-    while done < len(family):
-        s = family[done]
-        done += 1
-        for s2 in family[:done]:
+    for k, s in enumerate(family):      # the family grows while it is walked
+        for s2 in family[:k]:
             meet = s & s2
             if meet != s and meet != s2:
                 inter_rules.append(DRule(rel(meet), (rel(s), rel(s2))))
-            for role, succ in moves.items():
-                for a, b in ((s, s2), (s2, s)) if s != s2 else ((s, s),):
-                    target = revise(succ, a, b)
-                    if target != a:  # else the head is a body atom
-                        prop_rules.append(DRule(rel(target), (rel(a), edge(role, "x", "y"),
-                                                              rel(b, "y"))))
+        for role, succ in moves.items():
+            pre = sum(1 << i for i, out in enumerate(succ) if out & s)
+            if pre != full:
+                prop_rules.append(DRule(rel(pre), (edge(role, "x", "y"), rel(s, "y"))))
 
     holds = sum(1 << i for i, t in enumerate(types) if concept in t)
     goal_rules = [DRule(DAtom(goal, x), (rel(s),)) for s in family if s & ~holds == 0]

@@ -7,13 +7,15 @@ form of a question that ``omq`` decides another way.
 import itertools
 from dataclasses import dataclass
 
-from omq.semantics import Interpretation, eval_concept, is_model, match_query
+from omq.semantics import (
+    Interpretation, arc_consistency, eval_concept, hom_problem, is_model, match_query,
+)
 from omq.syntax import (
     ABox, And, Atom, CQ, Concept, ELIQ, ELQ, Exists, Forall, Not, PAnd, PAtom,
     PEQ, POr, Query, Role, TBox, UCQ, concept_names, concept_sort_key, conjoin,
 )
 from omq.tableau import satisfiable
-from omq.types import _candidates
+from omq.types import _candidates, compute_types, succ_relation
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,33 @@ def realized_type(cl, interpretation, element) -> frozenset:
     """The set of closure members true at the element: the semantic
     counterpart of ``types.compute_types``."""
     return frozenset(c for c in cl if element in eval_concept(interpretation, c))
+
+
+def type_structure_answers(tbox: TBox, q, abox: ABox) -> frozenset:
+    """The answers of the monadic rewriting, read off arc consistency of
+    the ABox against the type structure of ``succ_relation``.
+
+    The ABox keeps only the structure's concept and role names, and all
+    its individuals.  Every individual answers when some candidate set
+    empties or when a functional role, read on the whole ABox, has two
+    successors; otherwise an individual answers when all its candidate
+    types hold the query."""
+    concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
+    types = compute_types(tbox, concept)
+    structure = succ_relation(tbox, concept, types)
+    inds = abox.individuals()
+    data = Interpretation.of(
+        inds, inds,
+        {n: {a for m, a in abox.concept_assertions if m == n} for n in structure.concept_ext},
+        {n: {(a, b) for m, a, b in abox.role_assertions if m == n}
+         for n in structure.role_ext})
+    cand = arc_consistency(*hom_problem(data, structure))
+    whole = Interpretation.from_abox(abox).successors
+    if not all(cand.values()) or any(len(ys) > 1 for role in tbox.functional
+                                     for ys in whole.get(role, {}).values()):
+        return frozenset(inds)
+    holds = {f"t{i}" for i, t in enumerate(types) if concept in t}
+    return frozenset(a for a in inds if cand[a] <= holds)
 
 
 def abox_isomorphic(a: ABox, b: ABox) -> bool:

@@ -10,7 +10,7 @@ from omq.syntax import (
 from omq.semantics import Interpretation, eval_concept, is_model, match_query
 from omq.chase import (
     Completion, InconclusiveError, complete, horn_certain_answer_cq,
-    horn_entails_eliq, normalize_horn, syntactic_match,
+    horn_entails_eliq, normalize_horn,
 )
 from omq.tableau import abox_consistent
 from omq.types import entails_eliq
@@ -25,17 +25,17 @@ T_EXISTS_L = parse_tbox("some r.A sub A")        # reachability to an A
 T_EXISTS_R = parse_tbox("A sub some r.A")        # forward A-chains
 
 
-# -- syntactic_match ----------------------------------------------------------
+# -- Completion.matches -------------------------------------------------------
 
 def test_match_top_unconditional():
     c = complete(TBox.of(), parse_abox("B(b)"))
-    assert syntactic_match(c, Top(), "b")
+    assert c.matches(Top(), "b")
 
 
 def test_match_exists_one_step():
     c = complete(TBox.of(), parse_abox("r(a,b)\nA(b)"))
-    assert syntactic_match(c, Exists(r, A), "a")
-    assert not syntactic_match(c, Exists(r, B), "a")
+    assert c.matches(Exists(r, A), "a")
+    assert not c.matches(Exists(r, B), "a")
 
 
 def test_match_bottom_is_global():
@@ -43,7 +43,15 @@ def test_match_bottom_is_global():
     t = parse_tbox("A sub bot")
     c = complete(t, parse_abox("A(c)\nB(d)"))
     assert c.bottom
-    assert syntactic_match(c, Bot(), "d")
+    assert c.matches(Bot(), "d")
+
+
+def test_match_refuses_concepts_outside_eliu_bot():
+    # checked before matching: without the check the conjunction would
+    # fail on A and answer False
+    c = complete(TBox.of(), parse_abox("B(b)\nr(a,b)"))
+    with pytest.raises(ValueError):
+        c.matches(And(A, Not(B)), "a")
 
 
 # -- complete -----------------------------------------------------------------

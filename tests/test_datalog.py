@@ -252,9 +252,17 @@ def rewriting_tboxes():
 
 
 def test_rewriting_has_no_self_implying_rules():
+    # and below the goal every rule is a seed, an intersection of two
+    # type sets, or a propagation reading one type set at the successor
     for t in rewriting_tboxes():
-        for rule in build_rewriting(t, ELIQ(A, "x")).rules:
+        p = build_rewriting(t, ELIQ(A, "x"))
+        for rule in p.rules:
             assert rule.head not in rule.body, rule
+            if rule.head.pred == p.goal:
+                continue
+            assert len(rule.body) <= 2, rule
+            if any(len(a.args) == 2 for a in rule.body):
+                assert [a.args for a in rule.body if a.pred in p.idb()] == [("y",)], rule
 
 
 def test_rewriting_emits_each_rule_once():

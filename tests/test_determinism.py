@@ -1,0 +1,37 @@
+"""The tableau's search and the rewriting do not depend on the hash seed."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+
+# Prints (result, nodes created, decisions) for the first 200 knowledge
+# bases of the tableau's random corpus, then the rewriting of each of the
+# rewriting tests' TBoxes.
+SCRIPT = """
+from omq import tableau
+from omq.datalog import build_rewriting, print_program
+from omq.syntax import Atom, ELIQ
+from test_datalog import rewriting_tboxes
+from test_tableau import outcome, tableau_corpus
+
+for tbox, abox, extra, budget in tableau_corpus(200):
+    print(outcome(tableau._Tableau, tbox, abox, extra, budget))
+for t in rewriting_tboxes():
+    print(print_program(build_rewriting(t, ELIQ(Atom("A"), "x"))))
+"""
+
+
+def _run(hash_seed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    return subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=TESTS,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_search_and_rewriting_ignore_the_hash_seed():
+    first = _run("1")
+    assert first.count("\n") > 200
+    assert first == _run("2")

@@ -101,6 +101,20 @@ def _check_right_branch_start(before, after):
                for c in lb)
 
 
+def tableau_corpus(n=540):
+    """The first n of a seeded run of (TBox, ABox, extra labels, budget)
+    knowledge bases: ALCFI TBoxes, labels seeded at every other KB, and
+    node budgets of 50, 400 and 5,000 in turn."""
+    rng = random.Random(57)
+    for i in range(n):
+        tbox = rand_tbox(rng, allow_functional=True)
+        abox = rand_abox(rng)
+        extra = None
+        if i % 2:
+            extra = {rng.choice(sorted(abox.individuals())): [Not(rand_concept(rng, 2))]}
+        yield tbox, abox, extra, (50, 400, 5000)[i % 3]
+
+
 def test_search_matches_reference_tableau_random(monkeypatch):
     snapshots = {}      # id(state) -> (state, its snapshot when made)
     real_copy = tableau._State.copy
@@ -120,15 +134,8 @@ def test_search_matches_reference_tableau_random(monkeypatch):
 
     monkeypatch.setattr(tableau._State, "copy", copy)
     monkeypatch.setattr(tableau._Tableau, "_saturate", saturate)
-    rng = random.Random(57)
     checked, seen = [], set()
-    for i in range(540):
-        tbox = rand_tbox(rng, allow_functional=True)
-        abox = rand_abox(rng)
-        extra = None
-        if i % 2:
-            extra = {rng.choice(sorted(abox.individuals())): [Not(rand_concept(rng, 2))]}
-        budget = (50, 400, 5000)[i % 3]
+    for tbox, abox, extra, budget in tableau_corpus():
         got = outcome(tableau._Tableau, tbox, abox, extra, budget)
         snapshots.clear()
         assert got == outcome(RefTableau, tbox, abox, extra, budget), (tbox, abox, extra)
