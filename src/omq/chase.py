@@ -2,7 +2,10 @@
 extraction, and exact Horn query answering.
 
 The completion applies rules R1-R7 in fair deterministic rounds after
-normalizing the TBox to a single inclusion top sub C_T.  ABox individuals
+normalizing the TBox to a single inclusion top sub C_T.  A round skips
+the individuals whose inputs did not change in the round before: those
+farther from every new assertion, in ABox edges, than the premises of
+C_T can see (the chase form of semi-naive evaluation).  ABox individuals
 keep their names; the anonymous ones, the words a r1 C1 ... rk Ck of the
 canonical model, are numbered in creation order, and ``origin`` maps each
 to the (parent, role, concept) step that made it.  The untamed completion
@@ -28,8 +31,8 @@ from typing import Optional
 
 from .syntax import (
     ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Implies,
-    Not, Or, Role, TBox, Top, UCQ, concept_sort_key, conjoin, is_eliu_bot,
-    is_horn_alcfi, print_concept,
+    Not, Or, Role, TBox, Top, UCQ, concept_depth, concept_sort_key, conjoin,
+    is_eliu_bot, is_horn_alcfi, print_concept,
 )
 from .semantics import Interpretation, match_query
 
@@ -255,21 +258,38 @@ class Completion:
 # ---------------------------------------------------------------------------
 
 def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
-             max_assertions: int = 50000, order_seed: Optional[int] = None,
+             max_assertions: Optional[int] = None, order_seed: Optional[int] = None,
              keep_trace: bool = False) -> Completion:
     """Exhaustive fair application of R1-R7 with ancestor-label blocking.
 
-    Rules are applied in rounds until no rule adds anything, which is fair:
-    every applicable rule instance is reconsidered each round.  A round
-    visits the ABox individuals by name, then the anonymous ones by
-    number.  With an ``order_seed`` the per-round processing order is
-    shuffled; the Boolean outputs (bottom, entailed queries) are
-    insensitive to it.
+    Rules are applied in rounds until a round adds nothing.  A round
+    visits only the individuals whose inputs may have changed.  Call an
+    ABox individual together with its anonymous tree a group.  Applying
+    the rules at x reads x's own group and, through premise matches, the
+    groups at most ``concept_depth(C_T)`` ABox edges away: blocking, R4
+    and R6 edges and ``path`` stay inside a group, and only ABox edges
+    join groups.  So a round visits the individuals whose group lies that
+    close to a group that gained an assertion in the round before; any
+    other individual saw the same inputs when it was last visited and
+    would add nothing.  A visited individual is processed again, on the
+    concepts its label gained, while that label grows.  The visits follow the ABox individuals by name,
+    then the anonymous ones by number; with an ``order_seed`` each
+    round's visits are shuffled, and the Boolean outputs (bottom,
+    entailed queries) are insensitive to that.
+
+    The run stops at ``budget-exhausted`` when a new individual would lie
+    deeper than ``max_depth`` or the assertions exceed
+    ``max_assertions``, which defaults to 20 per ABox assertion and
+    never less than 50,000.
     """
     if not is_horn_alcfi(tbox):
         raise ValueError("completion requires a Horn-ALCFI TBox")
     c_t = normalize_horn(tbox)
     functional = tbox.functional
+    radius = concept_depth(c_t)
+    if max_assertions is None:
+        max_assertions = max(50000, 20 * (len(abox.concept_assertions)
+                                          + len(abox.role_assertions)))
 
     labels = {a: set() for a in sorted(abox.individuals())}
     for name, a in abox.concept_assertions:
@@ -281,14 +301,21 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
     trace = []
     bottom = False
     truncated = False
+    group = {a: a for a in labels}   # individual -> the ABox individual of its group
+    neighbours = {a: set() for a in labels}
+    for _, a, b in abox.role_assertions:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    touched = set(labels)            # groups that gained an assertion; at first all
 
     def add_concept(x, c, rule, premise):
         nonlocal bottom, assertions
         label = labels[x]
         if c in label:
-            return False
+            return
         label.add(c)
         assertions += 1
+        touched.add(group[x])
         if keep_trace:
             trace.append((rule, premise, f"{print_concept(c)}({struct.name(x)})"))
         # complementary literals clash: the right-hand grammar admits
@@ -300,64 +327,72 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
             if Bot() not in label:
                 label.add(Bot())
                 assertions += 1
-        return True
 
     def add_edge(x, role, y, rule, premise):
         nonlocal assertions
         e = (role.name, y, x) if role.inverted else (role.name, x, y)
         if not struct.add_edge(e):
-            return False
+            return
         assertions += 1
+        touched.add(group[x])
         if keep_trace:
             trace.append((rule, premise,
                           f"{e[0]}({struct.name(e[1])},{struct.name(e[2])})"))
-        return True
 
     def expandable(x):
         # R4/R6 are suppressed at blocked individuals and below them
         return all(struct.blocker_of(y) is None
                    for y in [x, *(parent for parent, _, _ in struct.path(x))])
 
-    changed = True
-    while changed and not bottom:
-        changed = False
-        inds = list(labels)
+    while touched and not bottom:
+        region = frontier = touched
+        for _ in range(radius):
+            frontier = {b for a in frontier for b in neighbours[a]} - region
+            region = region | frontier
+        touched = set()
+        inds = [x for x in labels if group[x] in region]
         if rng is not None:
             rng.shuffle(inds)
         for x in inds:
-            changed |= add_concept(x, c_t, "R1", struct.name(x) if keep_trace else None)
+            add_concept(x, c_t, "R1", struct.name(x) if keep_trace else None)
         for x in inds:
-            for c in sorted(labels[x], key=concept_sort_key):
-                prem = f"{print_concept(c)}({struct.name(x)})" if keep_trace else None
-                if isinstance(c, And):
-                    changed |= add_concept(x, c.left, "R2", prem)
-                    changed |= add_concept(x, c.right, "R2", prem)
-                elif isinstance(c, Implies):
-                    # the premise match follows blockers: a deep match may
-                    # run through a blocked individual's virtual subtree
-                    if struct.match(c.left, x):
-                        changed |= add_concept(x, c.right, "R3", prem)
-                elif isinstance(c, Forall):
-                    for y in struct.successors(x, c.role):
-                        changed |= add_concept(y, c.filler, "R7", prem)
-                elif isinstance(c, Exists):
-                    existing = c.role in functional and struct.successors(x, c.role)
-                    if existing:
-                        for y in existing:  # R5
-                            changed |= add_concept(y, c.filler, "R5", prem)
-                    elif expandable(x):  # R4, or R6 for a functional role
-                        y = struct.child(x, c.role, c.filler, max_depth)
-                        if y is None:
-                            truncated = True
-                            continue
-                        rule = "R6" if c.role in functional else "R4"
-                        changed |= add_edge(x, c.role, y, rule, prem)
-                        changed |= add_concept(y, c.filler, rule, prem)
+            label = labels[x]
+            todo = label
+            while todo and not bottom:
+                seen = set(label)
+                for c in sorted(todo, key=concept_sort_key):
+                    prem = f"{print_concept(c)}({struct.name(x)})" if keep_trace else None
+                    if isinstance(c, And):
+                        add_concept(x, c.left, "R2", prem)
+                        add_concept(x, c.right, "R2", prem)
+                    elif isinstance(c, Implies):
+                        # the premise match follows blockers: a deep match may
+                        # run through a blocked individual's virtual subtree
+                        if struct.match(c.left, x):
+                            add_concept(x, c.right, "R3", prem)
+                    elif isinstance(c, Forall):
+                        for y in struct.successors(x, c.role):
+                            add_concept(y, c.filler, "R7", prem)
+                    elif isinstance(c, Exists):
+                        existing = c.role in functional and struct.successors(x, c.role)
+                        if existing:
+                            for y in existing:  # R5
+                                add_concept(y, c.filler, "R5", prem)
+                        elif expandable(x):  # R4, or R6 for a functional role
+                            y = struct.child(x, c.role, c.filler, max_depth)
+                            if y is None:
+                                truncated = True
+                                continue
+                            group[y] = group[x]
+                            rule = "R6" if c.role in functional else "R4"
+                            add_edge(x, c.role, y, rule, prem)
+                            add_concept(y, c.filler, rule, prem)
+                todo = label - seen
             if bottom:
                 break
             if assertions > max_assertions:
                 truncated = True
-                changed = False
+                touched = set()
                 break
         if bottom:
             break
@@ -365,8 +400,8 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         for role in sorted(functional):
             for x in labels:
                 if len(struct.successors(x, role)) >= 2:
-                    changed |= add_concept(x, Bot(), "Rf",
-                                           f"{role}({struct.name(x)}) has two successors")
+                    add_concept(x, Bot(), "Rf",
+                                f"{role}({struct.name(x)}) has two successors")
 
     status = "complete" if (bottom or not truncated) else "budget-exhausted"
     return Completion(tbox, abox, c_t,

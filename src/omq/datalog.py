@@ -312,10 +312,12 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
     arc-consistent candidate set.  Only sets reachable from the seeds
     become relations.  The goal holds where that set lies inside the types
     holding the query, everywhere once some set is empty or a functional
-    role has two successors.  Relation names are kept apart from the
-    TBox's and query's names.  Exceeding ``max_idbs`` reachable sets
-    raises SizeGuardError; a TBox or query using the built-in name ``dom``
-    raises ValueError.
+    role has two successors: those two facts derive a 0-ary ``clash``
+    relation, and ``goal(x) :- dom(x), clash()`` reads it, so that no rule
+    joins ``dom`` with a body it shares no variable with.  Relation names
+    are kept apart from the TBox's and query's names.  Exceeding
+    ``max_idbs`` reachable sets raises SizeGuardError; a TBox or query
+    using the built-in name ``dom`` raises ValueError.
     """
     concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     types = compute_types(tbox, concept)
@@ -325,11 +327,14 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
     names = {*concept_names, *roles, *(r.name for r in tbox.functional)}
     if DOM in names:
         raise ValueError(f"{DOM!r} names the built-in active-domain relation")
-    prefix, goal = "P", "goal"      # kept apart from the TBox's and query's names
+    # the program's own names, kept apart from the TBox's and query's names
+    prefix, goal, clash = "P", "goal", "clash"
     while any(re.fullmatch(prefix + "[0-9a-f]+", n) for n in names):
         prefix += "_"
     while goal in names:
         goal += "_"
+    while clash in names:
+        clash += "_"
     bit = {f"t{i}": 1 << i for i in range(len(types))}
     full = (1 << len(types)) - 1
 
@@ -371,12 +376,13 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
 
     holds = sum(1 << i for i, t in enumerate(types) if concept in t)
     goal_rules = [DRule(DAtom(goal, x), (rel(s),)) for s in family if s & ~holds == 0]
-    if 0 in known:
-        goal_rules.append(DRule(DAtom(goal, x), (DAtom(DOM, x), rel(0, "y"))))
+    clash_rules = [DRule(DAtom(clash, ()), (rel(0, "y"),))] if 0 in known else []
     for role in sorted(tbox.functional):
-        goal_rules.append(DRule(DAtom(goal, x), (DAtom(DOM, x), edge(role, "y", "z1"),
-                                                 edge(role, "y", "z2")), (("z1", "z2"),)))
-    rules = tuple(seed_rules + inter_rules + prop_rules + goal_rules)
+        clash_rules.append(DRule(DAtom(clash, ()), (edge(role, "y", "z1"),
+                                                    edge(role, "y", "z2")), (("z1", "z2"),)))
+    if clash_rules:
+        goal_rules.append(DRule(DAtom(goal, x), (DAtom(DOM, x), DAtom(clash, ()))))
+    rules = tuple(seed_rules + inter_rules + prop_rules + clash_rules + goal_rules)
     return Program(rules, goal, 1)
 
 

@@ -7,12 +7,14 @@ form of a question that ``omq`` decides another way.
 import itertools
 from dataclasses import dataclass
 
+from omq.chase import Completion, _Structure, normalize_horn
 from omq.semantics import (
     Interpretation, arc_consistency, eval_concept, hom_problem, is_model, match_query,
 )
 from omq.syntax import (
-    ABox, And, Atom, CQ, Concept, ELIQ, ELQ, Exists, Forall, Not, PAnd, PAtom,
-    PEQ, POr, Query, Role, TBox, UCQ, concept_names, concept_sort_key, conjoin,
+    ABox, And, Atom, Bot, CQ, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not,
+    PAnd, PAtom, PEQ, POr, Query, Role, TBox, UCQ, concept_names, concept_sort_key,
+    conjoin, is_horn_alcfi,
 )
 from omq.tableau import satisfiable
 from omq.types import _candidates, compute_types, succ_relation
@@ -366,3 +368,103 @@ def cq_to_eli_concept(q: CQ) -> Concept:
     if visited != q.variables():
         raise ValueError("CQ is not connected to the answer variable")
     return c
+
+
+# ---------------------------------------------------------------------------
+# The chase by full rounds
+# ---------------------------------------------------------------------------
+
+def complete_by_rounds(tbox: TBox, abox: ABox, max_depth: int = 20,
+                       max_assertions: int = 50000) -> Completion:
+    """``chase.complete`` as plain fair rounds, without a trace: every
+    round applies every rule at every individual, in the same order,
+    until a round adds nothing.  Same rules, caps, blocking and result
+    type; it only skips no individual."""
+    if not is_horn_alcfi(tbox):
+        raise ValueError("completion requires a Horn-ALCFI TBox")
+    c_t = normalize_horn(tbox)
+    functional = tbox.functional
+
+    labels = {a: set() for a in sorted(abox.individuals())}
+    for name, a in abox.concept_assertions:
+        labels[a].add(Atom(name))
+    struct = _Structure(labels, {}, abox.role_assertions, False,
+                        pair_blocking=bool(functional))
+    assertions = sum(len(v) for v in labels.values()) + len(struct.edges)
+    bottom = False
+    truncated = False
+
+    def add_concept(x, c):
+        nonlocal bottom, assertions
+        label = labels[x]
+        if c in label:
+            return False
+        label.add(c)
+        assertions += 1
+        if isinstance(c, Bot) or \
+                (isinstance(c, Not) and isinstance(c.sub, Atom) and c.sub in label) or \
+                (isinstance(c, Atom) and Not(c) in label):
+            bottom = struct.bottom = True
+            if Bot() not in label:
+                label.add(Bot())
+                assertions += 1
+        return True
+
+    def add_edge(x, role, y):
+        nonlocal assertions
+        e = (role.name, y, x) if role.inverted else (role.name, x, y)
+        if not struct.add_edge(e):
+            return False
+        assertions += 1
+        return True
+
+    def expandable(x):
+        return all(struct.blocker_of(y) is None
+                   for y in [x, *(parent for parent, _, _ in struct.path(x))])
+
+    changed = True
+    while changed and not bottom:
+        changed = False
+        inds = list(labels)
+        for x in inds:
+            changed |= add_concept(x, c_t)
+        for x in inds:
+            for c in sorted(labels[x], key=concept_sort_key):
+                if isinstance(c, And):
+                    changed |= add_concept(x, c.left)
+                    changed |= add_concept(x, c.right)
+                elif isinstance(c, Implies):
+                    if struct.match(c.left, x):
+                        changed |= add_concept(x, c.right)
+                elif isinstance(c, Forall):
+                    for y in struct.successors(x, c.role):
+                        changed |= add_concept(y, c.filler)
+                elif isinstance(c, Exists):
+                    existing = c.role in functional and struct.successors(x, c.role)
+                    if existing:
+                        for y in existing:
+                            changed |= add_concept(y, c.filler)
+                    elif expandable(x):
+                        y = struct.child(x, c.role, c.filler, max_depth)
+                        if y is None:
+                            truncated = True
+                            continue
+                        changed |= add_edge(x, c.role, y)
+                        changed |= add_concept(y, c.filler)
+            if bottom:
+                break
+            if assertions > max_assertions:
+                truncated = True
+                changed = False
+                break
+        if bottom:
+            break
+        for role in sorted(functional):
+            for x in labels:
+                if len(struct.successors(x, role)) >= 2:
+                    changed |= add_concept(x, Bot())
+
+    status = "complete" if (bottom or not truncated) else "budget-exhausted"
+    return Completion(tbox, abox, c_t,
+                      {k: frozenset(v) for k, v in labels.items()}, struct.origin,
+                      frozenset(struct.edges), status, bottom)

@@ -16,7 +16,7 @@ from omq.tableau import abox_consistent
 from omq.types import entails_eliq
 
 from genutil import rand_abox, rand_eli_concept, rand_horn_tbox, rand_role
-from oracles import enumerate_interpretations
+from oracles import complete_by_rounds, enumerate_interpretations
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -150,6 +150,74 @@ def test_order_insensitive_boolean_outputs():
                             if horn_entails_eliq(t, a, q, x, completion=c))
             answers.add(got)
         assert len(answers) <= 1
+
+
+# -- complete against full rounds ---------------------------------------------
+
+NAMES, ROLES = ("A", "B", "C"), ("r", "s")
+
+
+def _rand_horn_kb(rng):
+    """A random Horn KB: inclusions of depth <= 2 with inverse roles, 3-8
+    individuals, and a functional role in 40% of the TBoxes.  Every other
+    KB is a chain of 5-8 individuals whose first edges use role r1 and the
+    rest r2, with X asserted at its end and the inclusions ``some r2.X sub
+    X``, ``X sub Y`` and ``some r1.some r1.Y sub Z``, plus a random one: X
+    can spread back one individual per round, and the last premise first
+    matches when Y arrives two ABox edges away."""
+    if rng.random() < 0.5:
+        t = rand_horn_tbox(rng, n_inclusions=3, depth=2, concepts=NAMES, roles=ROLES)
+        inds = [f"a{i}" for i in range(rng.randint(3, 8))]
+        cas = {(rng.choice(NAMES), rng.choice(inds)) for _ in range(rng.randint(1, 4))}
+        ras = {(rng.choice(ROLES), rng.choice(inds), rng.choice(inds))
+               for _ in range(rng.randint(2, 8))}
+    else:
+        x, y, z = (Atom(rng.choice(NAMES)) for _ in range(3))
+        r1, r2 = (Role(n) for n in rng.sample(ROLES, 2))
+        inds = [f"a{i}" for i in range(rng.randint(5, 8))]
+        rng.shuffle(inds)
+        k = rng.randint(2, len(inds) - 2)
+        ras = {((r1 if i < k else r2).name, a, b)
+               for i, (a, b) in enumerate(zip(inds, inds[1:]))}
+        cas = {(x.name, inds[-1])} | {(rng.choice(NAMES), rng.choice(inds))
+                                      for _ in range(rng.randint(0, 2))}
+        extra = rand_horn_tbox(rng, n_inclusions=1, depth=2, concepts=NAMES, roles=ROLES)
+        t = TBox(extra.inclusions | {(Exists(r2, x), x), (x, y),
+                                     (Exists(r1, Exists(r1, y)), z)})
+    if rng.random() < 0.4:
+        t = TBox(t.inclusions, frozenset({rand_role(rng, ROLES)}))
+    return t, ABox(frozenset(cas), frozenset(ras))
+
+
+def test_complete_matches_full_rounds_on_random_horn_kbs():
+    # skipping the individuals far from the last round's new facts loses
+    # nothing: same status and bottom, and on complete consistent runs the
+    # same ABox labels and ELIQ answers as rounds that visit everyone
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(2000):
+        t, abox = _rand_horn_kb(rng)
+        queries = [rand_eli_concept(rng, 2, NAMES, ROLES) for _ in range(3)]
+        new = complete(t, abox, max_depth=60)
+        old = complete_by_rounds(t, abox, max_depth=60)
+        assert (new.status, new.bottom) == (old.status, old.bottom), (t, abox)
+        if new.status != "complete" or new.bottom:
+            continue
+        compared += 1
+        for a in sorted(abox.individuals()):
+            assert new.labels[a] == old.labels[a], (t, abox, a)
+            for q in queries:
+                assert new.matches(q, a) == old.matches(q, a), (t, abox, q, a)
+    assert compared > 1400
+
+
+def test_premise_matches_two_abox_edges_from_a_late_fact():
+    # E spreads back along s one individual per round, reaching c in the
+    # fourth; a sees c's A through a premise two ABox edges deep
+    t = parse_tbox("some s.E sub E\nE sub A\nsome r.some r.A sub B")
+    a = parse_abox("r(a,b)\nr(b,c)\ns(c,d)\ns(d,e)\ns(e,f)\nE(f)")
+    assert horn_entails_eliq(t, a, ELIQ(B, "x"), "a")
+    assert complete(t, a).labels == complete_by_rounds(t, a).labels
 
 
 # -- horn_entails_eliq --------------------------------------------------------
@@ -378,3 +446,16 @@ def test_assertion_cap_exhausts_the_budget():
     small = complete(T_EXISTS_R, a, max_assertions=3)
     assert small.status == "budget-exhausted"
     assert complete(T_EXISTS_R, a, max_assertions=10_000).status == "complete"
+
+
+def test_default_cap_scales_with_the_abox():
+    # 20 assertions per individual on a 2,600-individual chain: more than
+    # 50,000, within the default of 20 per ABox assertion
+    n = 2600
+    t = parse_tbox("A sub some r.B\nB sub C\nsome inv(r).C sub D\nsome r.D sub E")
+    a = ABox(frozenset(("A", f"a{i}") for i in range(n)),
+             frozenset(("r", f"a{i}", f"a{i + 1}") for i in range(n - 1)))
+    c = complete(t, a)
+    assert c.status == "complete"
+    assert _assertion_count(c.labels, c.edges) > 50_000
+    assert complete(t, a, max_assertions=50_000).status == "budget-exhausted"

@@ -246,23 +246,45 @@ def test_rewriting_functionality_goal_rules():
 
 def rewriting_tboxes():
     rng = random.Random(68)
-    tboxes = [T_EXISTS_L, parse_tbox("A sub some r.B\nB sub some r.A\nsome r.B sub B")]
+    tboxes = [T_EXISTS_L, parse_tbox("A sub some r.B\nB sub some r.A\nsome r.B sub B"),
+              parse_tbox("func(inv(r))\nA sub some r.B\nB sub bot")]
     return tboxes + [rand_horn_tbox(rng, n_inclusions=2, depth=1, roles=("r", "s"))
                      for _ in range(10)]
 
 
 def test_rewriting_has_no_self_implying_rules():
     # and below the goal every rule is a seed, an intersection of two
-    # type sets, or a propagation reading one type set at the successor
+    # type sets, a propagation reading one type set at the successor, or
+    # a 0-ary clash: an empty type set, or two successors of a functional role
     for t in rewriting_tboxes():
         p = build_rewriting(t, ELIQ(A, "x"))
         for rule in p.rules:
             assert rule.head not in rule.body, rule
             if rule.head.pred == p.goal:
                 continue
+            if not rule.head.args:
+                assert [len(a.args) for a in rule.body] in ([1], [2, 2]), rule
+                assert bool(rule.neq) == (len(rule.body) == 2), rule
+                continue
             assert len(rule.body) <= 2, rule
             if any(len(a.args) == 2 for a in rule.body):
                 assert [a.args for a in rule.body if a.pred in p.idb()] == [("y",)], rule
+
+
+def test_rewriting_rules_join_their_body_in_one_piece():
+    # the body atoms of positive arity share variables in one connected
+    # join: a part apart from the rest would be a cross product in evaluate
+    shapes = set()
+    for t in rewriting_tboxes():
+        for rule in build_rewriting(t, ELIQ(A, "x")).rules:
+            parts = [set(a.args) for a in rule.body if a.args]
+            joined = parts.pop()
+            while any(p & joined for p in parts):
+                joined |= set().union(*(p for p in parts if p & joined))
+                parts = [p for p in parts if not p & joined]
+            assert not parts, rule
+            shapes.add(tuple(len(a.args) for a in rule.body))
+    assert {(1, 0), (2, 2), (1,)} <= shapes
 
 
 def test_rewriting_emits_each_rule_once():
@@ -287,6 +309,7 @@ def test_abox_facts_never_enter_program_relations(text):
 @pytest.mark.parametrize("tbox, query, text", [
     ("P1 sub B", "B", "P1(b)"), ("some P3.top sub B", "B", "P3(b,c)"),
     ("goal sub B", "B", "goal(b)"), ("A sub B", "P1", "A(b)\nP1(c)"),
+    ("func(clash)\nA sub B", "B", "clash(a,b)\nclash(a,c)"),
 ])
 def test_rewriting_relations_never_clash_with_tbox_names(tbox, query, text):
     # the program's own relation names are kept apart from the OMQ's names
