@@ -4,8 +4,15 @@ classification, and the k-colouring and 2+2-SAT constructions.
 
 Refuters enumerate small ABoxes over the TBox signature up to
 isomorphism and bounded tree queries; every emitted witness re-verifies
-against the entailment oracle at report time.  Budgets make the searches
+against the tableau at report time.  Budgets make the searches
 semi-decisions: a refutation is definitive, exhaustion is only evidence.
+
+Unraveling tolerance (Lutz & Wolter, KR 2012): T, A |= C(a) implies
+T, U_A |= C(a), a read as its root copy in the unraveling U_A.  For
+ALC/ALCI both sides are decided on the type structure of all types over
+closure(T, C): arc consistency cannot tell A from U_A, so the root copy
+entails C when none of a's candidates lacks C, and A entails C(a) when no
+homomorphism sends a to such a type (Feder & Vardi 1998).
 """
 
 from __future__ import annotations
@@ -18,10 +25,9 @@ from .syntax import (
     ABox, And, Atom, Concept, ELIQ, Exists, Or, Role, TBox, Top, conjoin,
     dialect, eliq_to_cq, is_depth_one, is_horn_alcfi,
 )
-from .types import entails_eliq, entails_eliq_disjunction
-from .csp import (
-    Signature, booleanize_eliq, template_from_omq, unraveling_entails,
-)
+from .semantics import Interpretation, arc_consistency, hom_problem, solve
+from .types import compute_types, entails_eliq, entails_eliq_disjunction, succ_relation
+from .csp import Signature, restrict_abox
 
 _IND_NAMES = "abcdefgh"
 
@@ -48,17 +54,42 @@ class DisjunctionViolation:
 
 @dataclass(frozen=True)
 class UnravelingViolation:
-    """A certain answer that the unraveled data no longer entails."""
+    """A certain answer that the root copy loses in the unraveled data."""
     abox: ABox
     concept: Concept
     individual: str
 
     def verify(self, tbox: TBox) -> bool:
+        """Entailment by the tableau, the root copy's escape by AC."""
         if not entails_eliq(tbox, self.abox, self.concept, self.individual):
             return False
-        _, marked, q = booleanize_eliq(tbox, self.abox, self.concept,
-                                       self.individual)
-        return not unraveling_entails(tbox, q, marked)
+        structure, avoid = _type_structure(tbox, self.concept)
+        sigma = Signature(frozenset(structure.concept_ext), frozenset(structure.role_ext))
+        names = Interpretation.from_abox(restrict_abox(self.abox, sigma))
+        data = Interpretation.of(self.abox.individuals(), None, names.concept_ext, names.role_ext)
+        return (self.individual, False) in (f[:2] for f in _facts(data, structure, avoid))
+
+
+def _type_structure(tbox: TBox, concept: Concept) -> tuple:
+    """The type structure over closure(T, C) and its points lacking C."""
+    if tbox.functional:
+        raise ValueError("the type structure decides ALC/ALCI TBoxes only")
+    types = compute_types(tbox, concept)
+    avoid = frozenset(f"t{i}" for i, t in enumerate(types) if concept not in t)
+    return succ_relation(tbox, concept, types), avoid
+
+
+def _facts(data: Interpretation, structure, avoid: frozenset):
+    """Per individual a, in sorted order, ``(a, T, U_A |= C(a) at the root
+    copy, T, A |= C(a))`` for the query C of ``_type_structure``; ``data``
+    reads A over the structure's names only, since no other name constrains
+    a type.  An empty candidate set: T and A, hence T and U_A, inconsistent."""
+    cand, arcs = hom_problem(data, structure)
+    fix = arc_consistency(cand, arcs)
+    consistent = all(fix.values())
+    for a in sorted(data.domain):
+        root = fix[a] & avoid if consistent else None
+        yield a, not root, not root or solve({**fix, a: root}, arcs) is None
 
 
 @dataclass(frozen=True)
@@ -186,29 +217,24 @@ def refute_disjunction_property(tbox: TBox,
 
 def refute_unraveling_tolerance(tbox: TBox,
                                 budget: Budget = Budget()) -> RefutationResult:
-    """Search for an entailed tree-query fact that the unraveled data no
-    longer entails.  Exact only for ALC/ALCI (the unraveling side runs
-    through the CSP template); other dialects report unsupported-dialect."""
+    """Search for a tree-query fact C(a) that the ABox entails but its
+    unraveling does not at the root copy of a: one type structure per query
+    and call, one AC run per (ABox, query); the tableau re-verifies the
+    witness.  Exact only for ALC/ALCI, else unsupported-dialect."""
     if dialect(tbox) not in ("ALC", "ALCI"):
         return RefutationResult("unsupported-dialect", None, 0, budget)
     sigma = Signature.of_tbox(tbox)
-    eliqs = _eliq_candidates(sigma, budget.max_eliq_depth, True)
-    templates = {}
+    structures = [(c, *_type_structure(tbox, c))
+                  for c in _eliq_candidates(sigma, budget.max_eliq_depth, True)]
     checked = 0
     for abox in enumerate_aboxes(sorted(sigma.concept_names),
                                  sorted(sigma.role_names),
                                  budget.max_individuals):
         checked += 1
-        for c in eliqs:
-            for a in sorted(abox.individuals()):
-                if not entails_eliq(tbox, abox, c, a):
-                    continue
-                _, marked, q = booleanize_eliq(tbox, abox, c, a)
-                key = q.concept
-                if key not in templates:
-                    templates[key] = template_from_omq(tbox, q)
-                if not unraveling_entails(tbox, q, marked,
-                                          template=templates[key]):
+        data = Interpretation.from_abox(abox)   # over the TBox's names, which every structure has
+        for c, structure, avoid in structures:
+            for a, at_root, entailed in _facts(data, structure, avoid):
+                if entailed and not at_root:
                     witness = UnravelingViolation(abox, c, a)
                     if not witness.verify(tbox):
                         raise RuntimeError(f"witness fails to re-verify: {witness!r}")
@@ -267,7 +293,7 @@ def classify(tbox: TBox, budget: Budget = Budget()) -> ClassificationReport:
         ut = ("refuted", ut_result.witness)
     elif ut_result.status == "unsupported-dialect":
         ut = ("unsupported-dialect",
-              "bounded-slice refutation needs ALC/ALCI")
+              "the type-structure refutation needs ALC/ALCI")
     else:
         ut = ("unknown", f"no violation on {ut_result.checked_aboxes} "
                          f"canonical ABoxes")

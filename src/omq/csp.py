@@ -161,41 +161,15 @@ def certain_answer_eliq_csp(tbox: TBox, abox: ABox, concept: Concept,
 
 def unraveling_entails(tbox: TBox, q, abox: ABox,
                        template: Optional[Template] = None) -> bool:
-    """Decide whether the TBox and the *unraveling* of the ABox entail the
-    Boolean tree query, without materializing the unraveling.
-
-    The unraveling of the signature restriction is a forest with finitely
-    many subtree shapes, indexed by (individual, incoming role edge).
-    These states are the variables of ``arc_consistency``, with one arc
-    per non-backtracking step.  The query is entailed exactly when some
-    root state's candidate set empties (no homomorphism exists).
-    """
+    """Whether the TBox and the *unraveling* of the ABox entail the Boolean
+    tree query: arc consistency cannot tell an ABox from its unraveling and
+    is exact on trees, so the query is entailed exactly when AC of the
+    signature restriction against the template empties a candidate set."""
     tmpl = template if template is not None else template_from_omq(tbox, q)
     if not tmpl.points:
         return True
-    tgt = tmpl.interpretation()
     src = Interpretation.from_abox(restrict_abox(abox, tmpl.signature))
-    base, _ = hom_problem(src, tgt)
-    roots = [(a, None) for a in src.domain]
-    cand = {}
-    arcs = {}
-    frontier = list(roots)
-    while frontier:
-        state = frontier.pop()
-        if state in cand:
-            continue
-        b, incoming = state
-        cand[state] = base[b]
-        arcs[state] = []
-        for role, succ in src.successors.items():
-            for b2 in succ.get(b, ()):
-                if incoming == (b2, role.inverse()):
-                    continue  # non-backtracking condition
-                state2 = (b2, (b, role))
-                arcs[state].append((state2, tgt.successors.get(role, {})))
-                frontier.append(state2)
-    cand = arc_consistency(cand, arcs)
-    return any(not cand[root] for root in roots)
+    return not all(arc_consistency(*hom_problem(src, tmpl.interpretation())).values())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ module: an ``Interpretation`` indexes itself once (``labels`` and
 ``successors``, built on first use and shared by every later call),
 ``hom_problem`` states a homomorphism question as candidate sets and
 arcs, ``arc_consistency`` refines candidate sets to their greatest
-arc-consistent subsets (AC-3), and ``_solve`` searches while keeping arc
+arc-consistent subsets (AC-3), and ``solve`` searches while keeping arc
 consistency.  Homomorphisms, simulations and CQ matches all run on it,
 and so does type elimination in the types module.
 
@@ -179,7 +179,7 @@ def _match_cq(i: Interpretation, q: CQ, binding: dict) -> bool:
     cand, arcs = hom_problem(Interpretation.of(q.variables(), (), cext, rext), i)
     for v, d in binding.items():
         cand[v] = cand[v] & {d}
-    return _solve(cand, arcs) is not None
+    return solve(cand, arcs) is not None
 
 
 def _match_peq(i: Interpretation, f, binding: dict) -> bool:
@@ -300,7 +300,7 @@ def _branches(cand: dict, arcs: dict, watch: dict, x):
         yield _propagate(trial, arcs, watch, watch.get(x, ()))
 
 
-def _solve(cand: dict, arcs: dict) -> Optional[dict]:
+def solve(cand: dict, arcs: dict) -> Optional[dict]:
     """One candidate per variable such that every arc holds, or None.
 
     Depth-first search that keeps arc consistency: it branches on the open
@@ -344,12 +344,12 @@ def find_homomorphism(s: Interpretation, g: Interpretation,
     """A map preserving concept memberships and role edges, fixing
     ``preserve`` pointwise; None when provably absent.
 
-    ``_solve`` on ``hom_problem``.
+    ``solve`` on ``hom_problem``.
     """
     preserve = set(preserve)
     if not preserve <= s.named:
         raise ValueError("preserve must be a subset of the source's named individuals")
-    h = _solve(*hom_problem(s, g, preserve))
+    h = solve(*hom_problem(s, g, preserve))
     if h is not None and not _hom_ok(s, g, h):
         raise RuntimeError("the homomorphism search returned a map that "
                            "is not a homomorphism")

@@ -1,17 +1,36 @@
+import itertools
 import random
 
 import pytest
 
 from omq.analysis import (
     CONP_HARD, PTIME_DEFINITIVE, Budget, DisjunctionViolation,
-    brute_2p2_satisfiable, classify, gen_2p2sat_reduction, gen_kcolor_tbox,
-    minimize_witness, refute_disjunction_property,
+    UnravelingViolation, _eliq_candidates, _facts, _type_structure,
+    brute_2p2_satisfiable, classify, enumerate_aboxes, gen_2p2sat_reduction,
+    gen_kcolor_tbox, minimize_witness, refute_disjunction_property,
+    refute_unraveling_tolerance,
 )
-from omq.syntax import Atom, parse_abox, parse_tbox
+from omq.csp import Signature
+from omq.semantics import Interpretation
+from omq.syntax import ABox, Atom, parse_abox, parse_concept, parse_tbox
 from omq.types import entails_eliq
+
+from oracles import unravel_abox
 
 B, C = Atom("B"), Atom("C")
 SMALL = Budget(max_individuals=2)
+
+# the non-Horn TBoxes of the benchmark's classify workload
+NON_HORN = {
+    "or": parse_tbox("A sub B or C"),
+    "cover": parse_tbox("top sub A or B"),
+    "cover3": parse_tbox("top sub A or B or C"),
+    "and_or": parse_tbox("A and B sub C or D"),
+    "or_chain": parse_tbox("A sub B or C\nB sub D"),
+    "cover_irreflexive": parse_tbox("top sub A or B\nA and some r.A sub bot"),
+    "kcolor2": gen_kcolor_tbox(2),
+    "alci_cover_irreflexive": parse_tbox("top sub A or B\nA and some inv(r).B sub bot"),
+}
 
 
 # -- classify -----------------------------------------------------------------
@@ -19,7 +38,8 @@ SMALL = Budget(max_individuals=2)
 @pytest.mark.parametrize("tbox, expected", [
     (parse_tbox("A sub some r.B\nB sub some r.A"), {"verdict": PTIME_DEFINITIVE}),
     (parse_tbox("A sub B or C"), {"verdict": CONP_HARD}),
-    (parse_tbox("top sub A or B\nA and some r.A sub bot"), {"verdict": CONP_HARD}),
+    (NON_HORN["cover_irreflexive"],
+     {"verdict": CONP_HARD, "unraveling_tolerant": "refuted"}),
     (gen_kcolor_tbox(2), {"verdict": CONP_HARD, "unraveling_tolerant": "refuted"}),
 ], ids=["horn_cycle", "or", "cover_irreflexive", "kcolor2"])
 def test_classify_verdicts(tbox, expected):
@@ -31,6 +51,64 @@ def test_classify_verdicts(tbox, expected):
     for status, witness in (report.materializable, report.unraveling_tolerant):
         if status == "refuted":
             assert witness.verify(tbox)
+
+
+# -- unraveling tolerance at the root copy ------------------------------------
+
+@pytest.mark.parametrize("tbox, checked, witness", [
+    (NON_HORN["cover_irreflexive"], 4, ("r(a,a)", "B")),
+    (parse_tbox("A sub B or C\nB and some r.C sub D"), 1337,
+     ("A(a)\nB(b)\nC(b)\nr(a,a)\nr(a,b)\nr(b,a)", "some r.D")),
+    (NON_HORN["alci_cover_irreflexive"], 135, None),
+], ids=["cover_irreflexive", "or_then_some_r", "alci_cover_irreflexive"])
+def test_unraveling_refuter_checks_the_root_copy(tbox, checked, witness):
+    # in both witnesses an r-path alternating between the disjuncts lets
+    # the root copy of a escape the query, though some copy of a cannot
+    result = refute_unraveling_tolerance(tbox, SMALL)
+    if witness is not None:
+        abox, concept = witness
+        witness = UnravelingViolation(parse_abox(abox), parse_concept(concept), "a")
+        assert witness.verify(tbox)
+    status = "refuted" if witness else "none-found"
+    assert (result.status, result.checked_aboxes, result.witness) == (status, checked, witness)
+
+
+def test_unraveling_witness_ignores_names_outside_the_tbox():
+    # no type mentions Z, so Z(a) must not empty a's candidates, and c,
+    # which only Z names, is still an individual
+    tbox = NON_HORN["cover_irreflexive"]
+    assert UnravelingViolation(parse_abox("r(a,a)\nZ(a)\nZ(c)"), B, "a").verify(tbox)
+
+
+def _named_slice(abox: ABox, depth: int) -> ABox:
+    """The depth-bounded unraveling slice as an ABox: the base
+    individuals keep their names, the longer words get fresh ones."""
+    u = unravel_abox(abox, depth)
+    name = {w: w if isinstance(w, str) else f"w{k}"
+            for k, w in enumerate(sorted(u.individuals, key=str))}
+    return ABox(frozenset((n, name[w]) for n, w in u.concept_assertions),
+                frozenset((n, name[v], name[w]) for n, v, w in u.role_assertions))
+
+
+def test_refuter_facts_agree_with_the_tableau():
+    # each fact of the refuter's search: the entailment against the tableau
+    # on the ABox, the root copy against the tableau at the root of the
+    # depth-3 unraveling slice (deep enough on this corpus).  The corpus
+    # holds violations, which random corpora do not.
+    violations = 0
+    for name in ("cover_irreflexive", "kcolor2", "alci_cover_irreflexive", "or_chain"):
+        tbox = NON_HORN[name]
+        sigma = Signature.of_tbox(tbox)
+        structures = [(c, *_type_structure(tbox, c)) for c in _eliq_candidates(sigma, 1, True)]
+        aboxes = enumerate_aboxes(sorted(sigma.concept_names), sorted(sigma.role_names), 2)
+        for abox in itertools.islice(aboxes, 60):
+            data, sliced = Interpretation.from_abox(abox), _named_slice(abox, 3)
+            for c, structure, avoid in structures:
+                for a, at_root, entailed in _facts(data, structure, avoid):
+                    assert entailed == entails_eliq(tbox, abox, c, a), (name, abox, c, a)
+                    assert at_root == entails_eliq(tbox, sliced, c, a), (name, abox, c, a)
+                    violations += entailed and not at_root
+    assert violations >= 20
 
 
 # -- the 2+2-SAT reduction ----------------------------------------------------

@@ -1,4 +1,5 @@
-"""The tableau's search and the rewriting do not depend on the hash seed."""
+"""The tableau's search, the rewriting and the unraveling-tolerance
+refuter do not depend on the hash seed."""
 
 import os
 import subprocess
@@ -9,11 +10,14 @@ TESTS = Path(__file__).resolve().parent
 
 # Prints (result, nodes created, decisions) for the first 200 knowledge
 # bases of the tableau's random corpus, then the rewriting of each of the
-# rewriting tests' TBoxes.
+# rewriting tests' TBoxes, then the unraveling-tolerance refuter's outcome
+# on the non-Horn TBoxes of the analysis tests.
 SCRIPT = """
 from omq import tableau
+from omq.analysis import refute_unraveling_tolerance
 from omq.datalog import build_rewriting, print_program
-from omq.syntax import Atom, ELIQ
+from omq.syntax import Atom, ELIQ, print_abox, print_concept
+from test_analysis import NON_HORN, SMALL
 from test_datalog import rewriting_tboxes
 from test_tableau import outcome, tableau_corpus
 
@@ -21,6 +25,11 @@ for tbox, abox, extra, budget in tableau_corpus(200):
     print(outcome(tableau._Tableau, tbox, abox, extra, budget))
 for t in rewriting_tboxes():
     print(print_program(build_rewriting(t, ELIQ(Atom("A"), "x"))))
+for name, t in NON_HORN.items():
+    r = refute_unraveling_tolerance(t, SMALL)
+    w = r.witness and (print_abox(r.witness.abox), print_concept(r.witness.concept),
+                       r.witness.individual)
+    print(name, r.status, r.checked_aboxes, w)
 """
 
 
