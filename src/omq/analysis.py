@@ -7,16 +7,25 @@ isomorphism and bounded tree queries; every emitted witness re-verifies
 against the tableau at report time.  Budgets make the searches
 semi-decisions: a refutation is definitive, exhaustion is only evidence.
 
+For ALC/ALCI both refuters decide facts on the type structure of all
+types over the union of closure(T, C) for their queries C, built once per
+union closure and ``classify`` call.  The escape test: T, A does not
+entail C_1(a_1) or ... or C_k(a_k) iff some homomorphism sends A into the
+structure with each a_i on a type lacking C_i (Feder & Vardi 1998),
+searched from one arc-consistent (AC) fixpoint per ABox and structure.
+The tableau re-verifies witnesses and, under functional roles, where type
+structures are not exact, decides the disjunction refuter's facts.
+
 Unraveling tolerance (Lutz & Wolter, KR 2012): T, A |= C(a) implies
-T, U_A |= C(a), a read as its root copy in the unraveling U_A.  For
-ALC/ALCI both sides are decided on the type structure of all types over
-closure(T, C): arc consistency cannot tell A from U_A, so the root copy
-entails C when none of a's candidates lacks C, and A entails C(a) when no
-homomorphism sends a to such a type (Feder & Vardi 1998).
+T, U_A |= C(a), a read as its root copy in the unraveling U_A.  AC cannot
+tell A from U_A, so the root copy escapes C when the AC fixpoint keeps a
+type lacking C for a.  A forest-shaped ABox is its own unraveling, and
+AC decides homomorphisms from it exactly (Freuder 1982): it is skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +35,7 @@ from .syntax import (
     dialect, eliq_to_cq, is_depth_one, is_horn_alcfi,
 )
 from .semantics import Interpretation, arc_consistency, hom_problem, solve
-from .types import compute_types, entails_eliq, entails_eliq_disjunction, succ_relation
+from .types import closure, compute_types, entails_eliq, entails_eliq_disjunction, succ_relation
 from .csp import Signature, restrict_abox
 
 _IND_NAMES = "abcdefgh"
@@ -63,33 +72,66 @@ class UnravelingViolation:
         """Entailment by the tableau, the root copy's escape by AC."""
         if not entails_eliq(tbox, self.abox, self.concept, self.individual):
             return False
-        structure, avoid = _type_structure(tbox, self.concept)
+        structure, avoids = _type_structure(tbox, (self.concept,), {})
         sigma = Signature(frozenset(structure.concept_ext), frozenset(structure.role_ext))
         names = Interpretation.from_abox(restrict_abox(self.abox, sigma))
         data = Interpretation.of(self.abox.individuals(), None, names.concept_ext, names.role_ext)
-        return (self.individual, False) in (f[:2] for f in _facts(data, structure, avoid))
+        return _escape_test(data)((structure, avoids), (self.individual,), unraveled=True)
 
 
-def _type_structure(tbox: TBox, concept: Concept) -> tuple:
-    """The type structure over closure(T, C) and its points lacking C."""
+def _type_structure(tbox: TBox, concepts: tuple, structures: dict) -> tuple:
+    """The type structure over the union of closure(T, C) for the C in
+    ``concepts``, and per C its points whose type lacks C.  ``structures``
+    memoizes the structure under that union, which queries with one
+    closure share, and the answer under ``concepts``."""
     if tbox.functional:
         raise ValueError("the type structure decides ALC/ALCI TBoxes only")
-    types = compute_types(tbox, concept)
-    avoid = frozenset(f"t{i}" for i, t in enumerate(types) if concept not in t)
-    return succ_relation(tbox, concept, types), avoid
+    if concepts not in structures:
+        key = frozenset().union(*(closure(tbox, c) for c in concepts))
+        if key not in structures:
+            q = conjoin(concepts)
+            types = compute_types(tbox, q)
+            structures[key] = succ_relation(tbox, q, types), types
+        structure, types = structures[key]
+        structures[concepts] = structure, tuple(
+            frozenset(f"t{i}" for i, t in enumerate(types) if c not in t) for c in concepts)
+    return structures[concepts]
 
 
-def _facts(data: Interpretation, structure, avoid: frozenset):
-    """Per individual a, in sorted order, ``(a, T, U_A |= C(a) at the root
-    copy, T, A |= C(a))`` for the query C of ``_type_structure``; ``data``
-    reads A over the structure's names only, since no other name constrains
-    a type.  An empty candidate set: T and A, hence T and U_A, inconsistent."""
-    cand, arcs = hom_problem(data, structure)
-    fix = arc_consistency(cand, arcs)
-    consistent = all(fix.values())
-    for a in sorted(data.domain):
-        root = fix[a] & avoid if consistent else None
-        yield a, not root, not root or solve({**fix, a: root}, arcs) is None
+def _escape_test(data: Interpretation):
+    """The escape test on the data A (over names every structure has) for a
+    ``_type_structure`` query and its individuals a_i, searched from one AC
+    fixpoint per structure; an empty AC set means T, A is inconsistent.
+    ``unraveled``: the a_i's root copies in U_A, decided by AC alone."""
+    fixpoints = {}
+
+    def escapes(query, individuals, unraveled=False):
+        structure, avoids = query
+        if id(structure) not in fixpoints:
+            cand, arcs = hom_problem(data, structure)
+            fixpoints[id(structure)] = arc_consistency(cand, arcs), arcs
+        fix, arcs = fixpoints[id(structure)]
+        narrowed = dict(fix)
+        for a, avoid in zip(individuals, avoids):
+            narrowed[a] = narrowed[a] & avoid
+        return all(narrowed.values()) and (unraveled or solve(narrowed, arcs) is not None)
+    return escapes
+
+
+def _is_forest(abox: ABox) -> bool:
+    """Whether the role assertions, read as undirected edges, form a
+    forest: no self-loop, at most one assertion per pair of individuals,
+    and no cycle (union-find; ``parent`` holds the non-roots)."""
+    parent = {}
+    for _, a, b in abox.role_assertions:
+        while a in parent:
+            a = parent[a]
+        while b in parent:
+            b = parent[b]
+        if a == b:
+            return False
+        parent[a] = b
+    return True
 
 
 @dataclass(frozen=True)
@@ -185,7 +227,16 @@ def refute_disjunction_property(tbox: TBox,
                                 budget: Budget = Budget()) -> RefutationResult:
     """Search for an entailed disjunction of tree-query facts none of
     whose disjuncts is entailed.  Queries are ELQs for ALC/ALCF (where the
-    disjunction property is characterized over ELQs) and ELIQs otherwise."""
+    disjunction property is characterized over ELQs) and ELIQs otherwise.
+    For ALC/ALCI the escape test decides each fact and disjunction on type
+    structures, so a type space too large raises ``BudgetExceededError``;
+    under functional roles the tableau decides.  The tableau re-verifies
+    the witness."""
+    return _refute_disjunction_property(tbox, budget, {})
+
+
+def _refute_disjunction_property(tbox: TBox, budget: Budget,
+                                 structures: dict) -> RefutationResult:
     dl = dialect(tbox)
     allow_inverse = dl in ("ALCI", "ALCFI")
     sigma = Signature.of_tbox(tbox)
@@ -196,17 +247,11 @@ def refute_disjunction_property(tbox: TBox,
                                  budget.max_individuals):
         checked += 1
         inds = sorted(abox.individuals())
-        facts = [(c, a) for c in eliqs for a in inds]
-        entailed = {}
-        for c, a in facts:
-            entailed[(c, a)] = entails_eliq(tbox, abox, c, a)
-        open_facts = [f for f in facts if not entailed[f]]
+        entails = _entailment(tbox, abox, structures)
+        open_facts = [(c, a) for c in eliqs for a in inds if not entails(((c, a),))]
         for k in range(2, budget.max_disjuncts + 1):
-            found = None
-            for combo in itertools.combinations(open_facts, k):
-                if entails_eliq_disjunction(tbox, abox, list(combo)):
-                    found = combo
-                    break
+            found = next((combo for combo in itertools.combinations(open_facts, k)
+                          if entails(combo)), None)
             if found is not None:
                 witness = DisjunctionViolation(abox, tuple(found))
                 if not witness.verify(tbox):
@@ -215,26 +260,49 @@ def refute_disjunction_property(tbox: TBox,
     return RefutationResult("none-found", None, checked, budget)
 
 
+def _entailment(tbox: TBox, abox: ABox, structures: dict):
+    """T, A |= C_1(a_1) or ... or C_k(a_k) as a test on the facts
+    (C_i, a_i): the escape test, or the tableau under functional roles."""
+    if tbox.functional:
+        return functools.partial(entails_eliq_disjunction, tbox, abox)
+    escapes = _escape_test(Interpretation.from_abox(abox))
+
+    def entails(facts):
+        concepts, individuals = zip(*facts)
+        return not escapes(_type_structure(tbox, concepts, structures), individuals)
+    return entails
+
+
 def refute_unraveling_tolerance(tbox: TBox,
                                 budget: Budget = Budget()) -> RefutationResult:
     """Search for a tree-query fact C(a) that the ABox entails but its
-    unraveling does not at the root copy of a: one type structure per query
-    and call, one AC run per (ABox, query); the tableau re-verifies the
+    unraveling does not at the root copy of a: A fails the escape test for
+    C(a), its AC fixpoint passes it.  A forest-shaped ABox is counted, not
+    searched: it is its own unraveling.  The tableau re-verifies the
     witness.  Exact only for ALC/ALCI, else unsupported-dialect."""
+    return _refute_unraveling_tolerance(tbox, budget, {})
+
+
+def _refute_unraveling_tolerance(tbox: TBox, budget: Budget,
+                                 structures: dict) -> RefutationResult:
     if dialect(tbox) not in ("ALC", "ALCI"):
         return RefutationResult("unsupported-dialect", None, 0, budget)
     sigma = Signature.of_tbox(tbox)
-    structures = [(c, *_type_structure(tbox, c))
-                  for c in _eliq_candidates(sigma, budget.max_eliq_depth, True)]
+    eliqs = _eliq_candidates(sigma, budget.max_eliq_depth, True)
     checked = 0
     for abox in enumerate_aboxes(sorted(sigma.concept_names),
                                  sorted(sigma.role_names),
                                  budget.max_individuals):
         checked += 1
-        data = Interpretation.from_abox(abox)   # over the TBox's names, which every structure has
-        for c, structure, avoid in structures:
-            for a, at_root, entailed in _facts(data, structure, avoid):
-                if entailed and not at_root:
+        # a forest is its own unraveling, and AC decides homomorphisms
+        # from it exactly (Freuder 1982), so no fact can separate the two
+        if _is_forest(abox):
+            continue
+        escapes = _escape_test(Interpretation.from_abox(abox))
+        for c in eliqs:
+            query = _type_structure(tbox, (c,), structures)
+            for a in sorted(abox.individuals()):
+                if escapes(query, (a,), unraveled=True) and not escapes(query, (a,)):
                     witness = UnravelingViolation(abox, c, a)
                     if not witness.verify(tbox):
                         raise RuntimeError(f"witness fails to re-verify: {witness!r}")
@@ -281,14 +349,15 @@ def classify(tbox: TBox, budget: Budget = Budget()) -> ClassificationReport:
         return ClassificationReport(dl, depth_one, True, materializable, ut,
                                     PTIME_DEFINITIVE, tuple(caveats), budget)
 
-    mat_result = refute_disjunction_property(tbox, budget)
+    structures = {}     # type structures by union closure, for both refuters
+    mat_result = _refute_disjunction_property(tbox, budget, structures)
     if mat_result.status == "refuted":
         materializable = ("refuted", mat_result.witness)
     else:
         materializable = ("unknown", f"no violation on {mat_result.checked_aboxes} "
                                      f"canonical ABoxes")
 
-    ut_result = refute_unraveling_tolerance(tbox, budget)
+    ut_result = _refute_unraveling_tolerance(tbox, budget, structures)
     if ut_result.status == "refuted":
         ut = ("refuted", ut_result.witness)
     elif ut_result.status == "unsupported-dialect":

@@ -307,6 +307,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         neighbours[a].add(b)
         neighbours[b].add(a)
     touched = set(labels)            # groups that gained an assertion; at first all
+    unchecked = sorted(functional)   # the roles the Rf scan below has not yet checked
 
     def add_concept(x, c, rule, premise):
         nonlocal bottom, assertions
@@ -396,12 +397,15 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
                 break
         if bottom:
             break
-        # unique names: a functional role with two distinct successors clashes
-        for role in sorted(functional):
+        # unique names: a functional role with two distinct successors
+        # clashes.  Only the ABox's edges give two (R5 fires instead of R6
+        # at a successor, R4 and R6 edges lead to a new child): scan once.
+        for role in unchecked:
             for x in labels:
                 if len(struct.successors(x, role)) >= 2:
                     add_concept(x, Bot(), "Rf",
                                 f"{role}({struct.name(x)}) has two successors")
+        unchecked = ()
 
     status = "complete" if (bottom or not truncated) else "budget-exhausted"
     return Completion(tbox, abox, c_t,

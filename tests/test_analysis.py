@@ -3,17 +3,20 @@ import random
 
 import pytest
 
+from omq import analysis
 from omq.analysis import (
     CONP_HARD, PTIME_DEFINITIVE, Budget, DisjunctionViolation,
-    UnravelingViolation, _eliq_candidates, _facts, _type_structure,
-    brute_2p2_satisfiable, classify, enumerate_aboxes, gen_2p2sat_reduction,
-    gen_kcolor_tbox, minimize_witness, refute_disjunction_property,
-    refute_unraveling_tolerance,
+    UnravelingViolation, _eliq_candidates, _entailment, _escape_test,
+    _is_forest, _type_structure, brute_2p2_satisfiable, classify,
+    enumerate_aboxes, gen_2p2sat_reduction, gen_kcolor_tbox, minimize_witness,
+    refute_disjunction_property, refute_unraveling_tolerance,
 )
 from omq.csp import Signature
 from omq.semantics import Interpretation
-from omq.syntax import ABox, Atom, parse_abox, parse_concept, parse_tbox
-from omq.types import entails_eliq
+from omq.syntax import (
+    ABox, Atom, Exists, Forall, dialect, parse_abox, parse_concept, parse_tbox,
+)
+from omq.types import closure, entails_eliq, entails_eliq_disjunction
 
 from oracles import unravel_abox
 
@@ -90,6 +93,29 @@ def _named_slice(abox: ABox, depth: int) -> ABox:
                 frozenset((n, name[v], name[w]) for n, v, w in u.role_assertions))
 
 
+def _corpus(tbox, count=None):
+    """The first ``count`` (default all) ABoxes the refuters enumerate for
+    the TBox at two individuals."""
+    sigma = Signature.of_tbox(tbox)
+    aboxes = enumerate_aboxes(sorted(sigma.concept_names), sorted(sigma.role_names), 2)
+    return itertools.islice(aboxes, count)
+
+
+def _facts(tbox, abox, inverse=True):
+    """The facts (C, a) of depth-1 tree queries C over the TBox's names."""
+    eliqs = _eliq_candidates(Signature.of_tbox(tbox), 1, inverse)
+    return [(c, a) for c in eliqs for a in sorted(abox.individuals())]
+
+
+def _unraveling_decisions(tbox, abox, structures):
+    """Per fact, the unraveling refuter's ``(T, A |= C(a), T, U_A |= C(a)
+    at the root copy)``."""
+    escapes = _escape_test(Interpretation.from_abox(abox))
+    for c, a in _facts(tbox, abox):
+        query = _type_structure(tbox, (c,), structures)
+        yield (c, a), not escapes(query, (a,)), not escapes(query, (a,), unraveled=True)
+
+
 def test_refuter_facts_agree_with_the_tableau():
     # each fact of the refuter's search: the entailment against the tableau
     # on the ABox, the root copy against the tableau at the root of the
@@ -97,18 +123,87 @@ def test_refuter_facts_agree_with_the_tableau():
     # holds violations, which random corpora do not.
     violations = 0
     for name in ("cover_irreflexive", "kcolor2", "alci_cover_irreflexive", "or_chain"):
-        tbox = NON_HORN[name]
-        sigma = Signature.of_tbox(tbox)
-        structures = [(c, *_type_structure(tbox, c)) for c in _eliq_candidates(sigma, 1, True)]
-        aboxes = enumerate_aboxes(sorted(sigma.concept_names), sorted(sigma.role_names), 2)
-        for abox in itertools.islice(aboxes, 60):
-            data, sliced = Interpretation.from_abox(abox), _named_slice(abox, 3)
-            for c, structure, avoid in structures:
-                for a, at_root, entailed in _facts(data, structure, avoid):
-                    assert entailed == entails_eliq(tbox, abox, c, a), (name, abox, c, a)
-                    assert at_root == entails_eliq(tbox, sliced, c, a), (name, abox, c, a)
-                    violations += entailed and not at_root
+        tbox, structures = NON_HORN[name], {}
+        for abox in _corpus(tbox, 60):
+            sliced = _named_slice(abox, 3)
+            for (c, a), entailed, at_root in _unraveling_decisions(tbox, abox, structures):
+                assert entailed == entails_eliq(tbox, abox, c, a), (name, abox, c, a)
+                assert at_root == entails_eliq(tbox, sliced, c, a), (name, abox, c, a)
+                violations += entailed and not at_root
     assert violations >= 20
+
+
+def test_forest_predicate():
+    for text in ("r(a,a)", "r(a,b)\ns(a,b)", "r(a,b)\nr(b,a)", "r(a,b)\nr(b,c)\nr(c,a)"):
+        assert not _is_forest(parse_abox(text)), text
+    for text in ("r(a,b)\ns(b,c)", "A(a)\nB(b)", "r(a,b)\nr(a,c)\nr(d,c)"):
+        assert _is_forest(parse_abox(text)), text
+
+
+@pytest.mark.parametrize("second_role", ["s", "inv(r)"])
+def test_two_edges_on_one_pair_are_not_a_forest(second_role):
+    # an r- and a second edge between a and b: the unraveling splits them
+    # into two branches, one may be B and the other C at the root copy,
+    # so it loses D(a); a predicate that took the pair for one tree edge
+    # would skip this witness
+    tbox = parse_tbox(f"top sub B or C\nsome r.B and some {second_role}.B sub D\n"
+                      f"some r.C and some {second_role}.C sub D")
+    abox = parse_abox("r(a,b)\ns(a,b)" if second_role == "s" else "r(a,b)\nr(b,a)")
+    assert not _is_forest(abox)
+    assert UnravelingViolation(abox, Atom("D"), "a").verify(tbox)
+
+
+def test_forest_aboxes_entail_at_the_root_copy_what_they_entail():
+    # why the unraveling refuter skips them: AC is exact on forests
+    forests = 0
+    for name, tbox in NON_HORN.items():
+        structures = {}
+        for abox in filter(_is_forest, _corpus(tbox)):
+            forests += 1
+            for fact, entailed, at_root in _unraveling_decisions(tbox, abox, structures):
+                assert entailed == at_root, (name, abox, fact)
+    assert forests > 200
+
+
+@pytest.mark.parametrize("name, max_disjuncts", [
+    *((name, 2) for name in NON_HORN), ("or3", 3),
+])
+def test_disjunction_decisions_agree_with_the_tableau(name, max_disjuncts):
+    # each fact and each disjunction of open facts the refuter decides,
+    # against the tableau, on the first 60 ABoxes of the enumeration
+    tbox = NON_HORN[name] if name in NON_HORN else parse_tbox("A sub B or C or D")
+    structures, decided = {}, 0
+    for abox in _corpus(tbox, 60):
+        entails = _entailment(tbox, abox, structures)
+        open_facts = []
+        for c, a in _facts(tbox, abox, dialect(tbox) == "ALCI"):
+            got = entails(((c, a),))
+            assert got == entails_eliq(tbox, abox, c, a), (abox, c, a)
+            if not got:
+                open_facts.append((c, a))
+        for k in range(2, max_disjuncts + 1):
+            for combo in itertools.combinations(open_facts, k):
+                assert entails(combo) == entails_eliq_disjunction(tbox, abox, list(combo)), \
+                    (abox, combo)
+                decided += 1
+    assert decided > 0
+
+
+def test_classify_builds_each_type_structure_once(monkeypatch):
+    # the two refuters share the structures of one call; a closure's
+    # decisions (names, existentials, universals) fix its structure
+    built = []
+    compute_types = analysis.compute_types
+
+    def record(tbox, q, *args):
+        built.append(frozenset(c for c in closure(tbox, q)
+                               if isinstance(c, (Atom, Exists, Forall))))
+        return compute_types(tbox, q, *args)
+
+    monkeypatch.setattr(analysis, "compute_types", record)
+    report = classify(NON_HORN["alci_cover_irreflexive"], SMALL)
+    assert report.unraveling_tolerant[0] == "unknown"   # no witness, so no verify builds
+    assert built and len(built) == len(set(built))
 
 
 # -- the 2+2-SAT reduction ----------------------------------------------------
