@@ -212,7 +212,9 @@ class Completion:
 
     def unrolled_interpretation(self, extra_depth: int) -> Interpretation:
         """Materialize the virtual completed ABox, unrolling blocked loops
-        to tree depth (deepest real node + extra_depth)."""
+        to tree depth (deepest real node + extra_depth).  ABox individuals
+        keep their names; the unrolled elements are numbered 0, 1, 2, ...
+        in creation order."""
         s = self._structure
         limit = max((len(s.path(y)) for y in self.origin), default=0) + extra_depth
         bases = self.abox.individuals()
@@ -240,7 +242,7 @@ class Completion:
                 rep = blocker if blocker is not None else x
                 for step, child in s.children.get(rep, {}).items():
                     role = step[0]
-                    celem = elem + (step,) if isinstance(elem, tuple) else (elem, step)
+                    celem = len(domain) - len(bases)    # unrolled so far
                     if role.inverted:
                         rext.setdefault(role.name, set()).add((celem, elem))
                     else:

@@ -10,7 +10,8 @@ relations a program reads only: assertions of a relation the program
 defines by its rules are left out.
 
 Evaluation is semi-naive, with joins through hash indexes on the bound
-argument positions.
+argument positions.  A join plan depends on a rule's variables, not on
+its relation names, so one evaluation plans each rule shape once.
 
 The rewriting is arc consistency of the ABox against the type structure
 written as rules (Feder & Vardi, SIAM J. Comput. 1998): seed, propagation
@@ -182,11 +183,12 @@ def _key_getter(positions):
     return itemgetter(*positions) if positions else (lambda _: ())
 
 
-def _plan(rule: DRule, first: int, index):
+def _plan(rule: DRule, first: int):
     """The rule's join plan: the body atom at ``first``, then repeatedly
-    the atom with the most bound argument positions, looked up in
-    ``index(pred, arity, bound positions)``.  Variables are numbered as
-    they get bound; a binding maps the numbers to values."""
+    the atom with the most bound argument positions.  Variables are
+    numbered as they get bound; a binding maps the numbers to values.  A
+    step is (body position, bound positions, key getter, binds,
+    equalities): it names no relation, so rules of one shape share it."""
     body = rule.body
     slots = {}
     steps = []
@@ -195,7 +197,6 @@ def _plan(rule: DRule, first: int, index):
     while True:
         atom = body[i]
         bound = tuple(p for p, v in enumerate(atom.args) if v in slots)
-        source = index(atom.pred, len(atom.args), bound) if steps else None
         key = _key_getter(tuple(slots[atom.args[p]] for p in bound))
         binds, eqs = [], []
         for p, v in enumerate(atom.args):
@@ -204,7 +205,7 @@ def _plan(rule: DRule, first: int, index):
                 binds.append((p, slots[v]))
             elif p not in bound:
                 eqs.append((p, atom.args.index(v)))
-        steps.append((source, key, tuple(binds), tuple(eqs)))
+        steps.append((i, bound, key, tuple(binds), tuple(eqs)))
         if not rest:
             break
         i = max(rest, key=lambda j: sum(v in slots for v in body[j].args))
@@ -213,21 +214,23 @@ def _plan(rule: DRule, first: int, index):
     return tuple(steps), head, tuple((slots[x], slots[y]) for x, y in rule.neq)
 
 
-def _join(plan, k, rows, env, out):
+def _join(plan, sources, k, rows, env, out):
     """Adds to ``out`` the head tuple of every extension of the binding
-    ``env`` through steps k, k+1, ..., with step k ranging over ``rows``."""
+    ``env`` through steps k, k+1, ..., with step k ranging over ``rows``
+    and each later step j over ``sources[j - 1]``, the hash index of its
+    atom on its bound positions."""
     steps, head, neqs = plan
-    _, _, binds, eqs = steps[k]
+    binds, eqs = steps[k][3:]
     last = k + 1 == len(steps)
     if not last:
-        index, key = steps[k + 1][:2]
+        index, key = sources[k], steps[k + 1][2]
     for t in rows:
         if eqs and any(t[p] != t[q] for p, q in eqs):
             continue
         for p, s in binds:
             env[s] = t[p]
         if not last:
-            _join(plan, k + 1, index.get(key(env), ()), env, out)
+            _join(plan, sources, k + 1, index.get(key(env), ()), env, out)
         elif not any(env[a] == env[b] for a, b in neqs):
             out.add(tuple([env[s] for s in head]))
 
@@ -240,7 +243,9 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
     round joins a rule once per body atom whose relation grew, that atom
     ranging over the new facts only.  The other atoms are read from hash
     indexes on their bound argument positions, kept up to date as facts
-    are added.  Each (rule, first atom) pair is planned once per call.
+    are added.  A join plan is made once per call for each rule shape
+    (the body's argument tuples, the head's arguments, the inequalities)
+    and first atom, and shared by the rules of that shape.
     """
     facts = _edb_facts(abox, program)
     indexes = {}    # (pred, arity) -> {positions: (key getter, {key: [tuple]})}
@@ -256,14 +261,19 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
             by_positions[positions] = (get, idx)
         return by_positions[positions][1]
 
-    plans = {}
+    plans = {}      # (shape, first atom) -> plan
     rules = program.rules
 
     def derive(r, i, rows, new):
-        if (r, i) not in plans:
-            plans[r, i] = _plan(rules[r], i, index)
-        head = rules[r].head
-        _join(plans[r, i], 0, rows, {}, new.setdefault((head.pred, len(head.args)), set()))
+        rule = rules[r]
+        body, head = rule.body, rule.head
+        shape = (tuple(a.args for a in body), head.args, rule.neq, i)
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _plan(rule, i)
+        sources = [index(body[j].pred, len(body[j].args), bound)
+                   for j, bound, *_ in plan[0][1:]]
+        _join(plan, sources, 0, rows, {}, new.setdefault((head.pred, len(head.args)), set()))
 
     uses = {}       # (pred, arity) -> [(rule number, body position)]
     new = {}

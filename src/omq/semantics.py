@@ -31,7 +31,8 @@ from .syntax import (
 
 
 def _ekey(e):
-    """Deterministic sort key for mixed string/tuple domain elements."""
+    """Deterministic sort key for domain elements mixing strings, ints
+    and tuples (the test oracles' unraveling words)."""
     if isinstance(e, tuple):
         return (1, tuple(str(x) for x in e))
     return (0, str(e))

@@ -5,7 +5,7 @@ import pytest
 
 from omq.syntax import (
     ABox, And, Atom, Bot, CQ, ELIQ, Exists, Implies, Not, Or, Role, TBox,
-    Top, UCQ, parse_abox, parse_tbox,
+    Top, UCQ, eliq_to_cq, parse_abox, parse_tbox,
 )
 from omq.semantics import Interpretation, eval_concept, is_model, match_query
 from omq.chase import (
@@ -383,6 +383,40 @@ def test_cq_matches_unrolled_tree_beyond_blocking():
               [("r", "x", "v1"), ("r", "v1", "v2"), ("r", "v2", "v3"), ("r", "v3", "v4")],
               ("x",))
     assert horn_certain_answer_cq(T_EXISTS_R, a, q, ("a",))
+
+
+def test_cq_route_agrees_with_eliq_route_on_random_horn_kbs():
+    # the ELIQ's tree CQ, matched in the unrolled completion, holds at an
+    # individual exactly where the completion matches the ELIQ (an
+    # inconsistent KB answers everything on both routes)
+    rng = random.Random(71)
+    outcomes = {True: 0, False: 0}
+    for _ in range(500):
+        t, abox = _rand_horn_kb(rng)
+        queries = [rand_eli_concept(rng, 2, NAMES, ROLES) for _ in range(2)]
+        c = complete(t, abox)
+        if c.status != "complete" or c.bottom:
+            continue
+        for q in queries:
+            cq = eliq_to_cq(ELIQ(q, "x"))
+            for a in sorted(abox.individuals()):
+                want = horn_entails_eliq(t, abox, q, a, completion=c)
+                assert horn_certain_answer_cq(t, abox, cq, (a,), completion=c) == want, \
+                    (t, abox, q, a)
+                outcomes[want] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_unrolling_keeps_every_path_apart():
+    # every element has an r-child and an s-child, so depth k of unrolling
+    # past the deepest chase individual gives the full binary tree of
+    # 2^(k+2) - 1 elements, each labelled A
+    c = complete(parse_tbox("A sub some r.A and some s.A"), parse_abox("A(a)"))
+    for k in range(4):
+        i = c.unrolled_interpretation(k)
+        assert len(i.domain) == 2 ** (k + 2) - 1
+        assert i.concept("A") == i.domain
+        assert sum(map(len, i.role_ext.values())) == len(i.domain) - 1
 
 
 def test_budget_exhaustion_is_inconclusive():

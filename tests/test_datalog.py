@@ -6,7 +6,7 @@ from omq.syntax import ABox, Atom, ELIQ, Exists, Role, TBox, parse_abox, parse_t
 from omq.chase import horn_entails_eliq
 from omq.datalog import (
     DAtom, DOM, DRule, GlueRule, NoOracleError, Program, SizeGuardError,
-    _edb_facts, build_rewriting, evaluate, parse_program, print_program,
+    _edb_facts, _plan, build_rewriting, evaluate, parse_program, print_program,
     soundness_status, union_programs,
 )
 
@@ -172,6 +172,51 @@ def test_seminaive_equals_naive_random():
         assert evaluate(p, abox) == evaluate_naive(p, abox), p
     assert kinds >= {"0-ary goal", "1-ary goal", "neq", "repeat", "binary idb",
                      "shared pair"}
+
+
+# Rules that share their shape (body argument tuples, head arguments,
+# inequalities, first atom), or all of it but one part: a join plan
+# shared across that part would give wrong answers.
+SHAPE_TWINS = {
+    "relation names": ["P(x) :- r(x,y), A(y).", "Q(x) :- s(x,y), B(y)."],
+    "head arguments": ["P(x) :- r(x,y), A(y).", "Q(y) :- r(x,y), A(y)."],
+    "inequalities": ["P(x) :- r(x,y), r(x,z), y != z.", "Q(x) :- r(x,y), r(x,z)."],
+    # round one starts each rule at its first atom, later rounds at the
+    # IDB atom that grew: P and Q feed each other through r and s
+    "first atom": ["P(x) :- A(x).", "P(x) :- r(x,y), Q(y).", "Q(x) :- s(x,y), P(y)."],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_TWINS))
+def test_rules_of_one_shape_keep_their_own_answers(case):
+    rules = SHAPE_TWINS[case]
+    rng = random.Random(70)
+    for head in ("P", "Q"):
+        p = parse_program("\n".join(["goal/1.", f"goal(x) :- {head}(x).", *rules]))
+        for _ in range(40):
+            abox = rand_abox(rng, n_individuals=4, n_assertions=8,
+                             concepts=("A", "B"), roles=("r", "s"))
+            assert evaluate(p, abox) == evaluate_naive(p, abox), (case, head, abox)
+
+
+def test_evaluate_plans_each_rule_shape_once(monkeypatch):
+    t = parse_tbox("A sub some r.B\nB sub some r.A\nsome r.D sub D\nB and C sub D\n"
+                   "some inv(r).C sub C")
+    p = build_rewriting(t, ELIQ(Exists(r, Atom("D")), "x"))
+    shapes = {(tuple(a.args for a in rule.body), rule.head.args, rule.neq, i)
+              for rule in p.rules for i in range(len(rule.body))}
+    planned = 0
+
+    def plan(*args):
+        nonlocal planned
+        planned += 1
+        return _plan(*args)
+
+    monkeypatch.setattr("omq.datalog._plan", plan)
+    abox = parse_abox("\n".join([f"r(a{k},a{k + 1})" for k in range(8)] +
+                                ["A(a0)", "C(a3)", "B(a5)", "D(a8)"]))
+    assert evaluate(p, abox)
+    assert 0 < planned <= len(shapes) < len(p.rules) // 20
 
 
 def test_monotone_for_inequality_free():
