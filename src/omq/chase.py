@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
@@ -65,16 +64,14 @@ class _Structure:
     (the pairwise condition), mirroring the tableau's blocking choice.
     """
 
-    def __init__(self, labels, origin, edges, bottom, pair_blocking=False):
+    def __init__(self, labels, edges, pair_blocking=False):
         self.labels = labels   # individual -> set/frozenset of concepts
-        self.origin = origin   # anonymous individual -> (parent, role, concept)
+        self.origin = {}       # anonymous individual -> (parent, role, concept)
         self.children = {}     # x -> {(role, concept): y}
         self.edges = set()     # of (role name, x, y)
         self.adj = {}          # x -> {role: set of role-successors of x}
-        self.bottom = bottom
+        self.bottom = False
         self.pair_blocking = pair_blocking
-        for y, (x, role, concept) in origin.items():
-            self.children.setdefault(x, {})[(role, concept)] = y
         for e in edges:
             self.add_edge(e)
 
@@ -163,6 +160,8 @@ class Completion:
     to the (parent, role, concept) step that made it.
     ``status`` is 'complete' when no rule is applicable (given blocking),
     'budget-exhausted' when depth or assertion caps cut the run short.
+    ``structure`` is the run's own structure over the frozen labels: the
+    matching and the model extraction read it, and nothing rebuilds it.
     """
     tbox: TBox
     abox: ABox
@@ -173,11 +172,7 @@ class Completion:
     status: str
     bottom: bool
     trace: tuple = ()
-
-    @cached_property
-    def _structure(self) -> _Structure:
-        return _Structure(self.labels, self.origin, self.edges, self.bottom,
-                          pair_blocking=bool(self.tbox.functional))
+    structure: _Structure = field(kw_only=True, repr=False, compare=False)
 
     def _check_named(self, individuals) -> None:
         for a in individuals:
@@ -190,7 +185,7 @@ class Completion:
         anywhere matches bot at every individual."""
         if not is_eliu_bot(concept):
             raise ValueError("syntactic match is defined for ELIU-bottom concepts only")
-        return self._structure.match(concept, x)
+        return self.structure.match(concept, x)
 
     def interpretation(self) -> Interpretation:
         """The canonical interpretation of the (raw) slice; refuses when
@@ -215,7 +210,7 @@ class Completion:
         to tree depth (deepest real node + extra_depth).  ABox individuals
         keep their names; the unrolled elements are numbered 0, 1, 2, ...
         in creation order."""
-        s = self._structure
+        s = self.structure
         limit = max((len(s.path(y)) for y in self.origin), default=0) + extra_depth
         bases = self.abox.individuals()
         cext = {}
@@ -273,9 +268,15 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
     join groups.  So a round visits the individuals whose group lies that
     close to a group that gained an assertion in the round before; any
     other individual saw the same inputs when it was last visited and
-    would add nothing.  A visited individual is processed again, on the
-    concepts its label gained, while that label grows.  The visits follow the ABox individuals by name,
-    then the anonymous ones by number; with an ``order_seed`` each
+    would add nothing.  A visit processes only the concepts of x's label
+    that are not yet settled, then again the concepts the label gained,
+    while it grows.  A concept settles once processing it again could
+    only repeat a no-op: an And once decomposed, an Implies once its
+    conclusion is in the label, an Exists over a non-functional role once
+    its child exists, and an atom, negation, top or bottom at once.  A
+    Forall or a functional Exists never settles, since later edges can
+    give it new successors.  The visits follow the ABox individuals by
+    name, then the anonymous ones by number; with an ``order_seed`` each
     round's visits are shuffled, and the Boolean outputs (bottom,
     entailed queries) are insensitive to that.
 
@@ -296,8 +297,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
     labels = {a: set() for a in sorted(abox.individuals())}
     for name, a in abox.concept_assertions:
         labels[a].add(Atom(name))
-    struct = _Structure(labels, {}, abox.role_assertions, False,
-                        pair_blocking=bool(functional))
+    struct = _Structure(labels, abox.role_assertions, pair_blocking=bool(functional))
     assertions = sum(len(v) for v in labels.values()) + len(struct.edges)
     rng = random.Random(order_seed) if order_seed is not None else None
     trace = []
@@ -309,6 +309,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         neighbours[a].add(b)
         neighbours[b].add(a)
     touched = set(labels)            # groups that gained an assertion; at first all
+    settled = {}                     # individual -> the concepts a visit skips
     unchecked = sorted(functional)   # the roles the Rf scan below has not yet checked
 
     def add_concept(x, c, rule, premise):
@@ -360,7 +361,8 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
             add_concept(x, c_t, "R1", struct.name(x) if keep_trace else None)
         for x in inds:
             label = labels[x]
-            todo = label
+            done = settled.setdefault(x, set())
+            todo = label - done
             while todo and not bottom:
                 seen = set(label)
                 for c in sorted(todo, key=concept_sort_key):
@@ -371,11 +373,14 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
                     elif isinstance(c, Implies):
                         # the premise match follows blockers: a deep match may
                         # run through a blocked individual's virtual subtree
-                        if struct.match(c.left, x):
+                        if c.right not in label:
+                            if not struct.match(c.left, x):
+                                continue
                             add_concept(x, c.right, "R3", prem)
                     elif isinstance(c, Forall):
                         for y in struct.successors(x, c.role):
                             add_concept(y, c.filler, "R7", prem)
+                        continue    # later edges give it new successors
                     elif isinstance(c, Exists):
                         existing = c.role in functional and struct.successors(x, c.role)
                         if existing:
@@ -390,6 +395,10 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
                             rule = "R6" if c.role in functional else "R4"
                             add_edge(x, c.role, y, rule, prem)
                             add_concept(y, c.filler, rule, prem)
+                        if c.role in functional or \
+                                (c.role, c.filler) not in struct.children.get(x, ()):
+                            continue
+                    done.add(c)
                 todo = label - seen
             if bottom:
                 break
@@ -410,9 +419,10 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         unchecked = ()
 
     status = "complete" if (bottom or not truncated) else "budget-exhausted"
-    return Completion(tbox, abox, c_t,
-                      {k: frozenset(v) for k, v in labels.items()}, struct.origin,
-                      frozenset(struct.edges), status, bottom, tuple(trace))
+    struct.labels = {k: frozenset(v) for k, v in labels.items()}
+    return Completion(tbox, abox, c_t, struct.labels, struct.origin,
+                      frozenset(struct.edges), status, bottom, tuple(trace),
+                      structure=struct)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ relations a program reads only: assertions of a relation the program
 defines by its rules are left out.
 
 Evaluation is semi-naive, with joins through hash indexes on the bound
-argument positions.  A join plan depends on a rule's variables, not on
-its relation names, so one evaluation plans each rule shape once.
+argument positions.  Round one joins only the rules whose body relations
+all hold facts; the others fire from their deltas, so no join reads an
+empty relation.  A join plan depends on a rule's variables, not on its
+relation names, so one evaluation plans each rule shape once.
 
 The rewriting is arc consistency of the ABox against the type structure
 written as rules (Feder & Vardi, SIAM J. Comput. 1998): seed, propagation
@@ -239,13 +241,16 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
     """Least-fixpoint answers of the goal relation on the ABox.
 
     Semi-naive evaluation (Abiteboul, Hull & Vianu, *Foundations of
-    Databases*, ch. 13): round one joins every rule in full; each later
-    round joins a rule once per body atom whose relation grew, that atom
-    ranging over the new facts only.  The other atoms are read from hash
+    Databases*, ch. 13): round one joins in full only the rules whose
+    body relations all hold facts; each later round joins a rule once per
+    body atom whose relation grew, that atom ranging over the new facts
+    only, so a rule skipped in round one fires from its delta once its
+    last empty relation gains facts.  The other atoms are read from hash
     indexes on their bound argument positions, kept up to date as facts
-    are added.  A join plan is made once per call for each rule shape
-    (the body's argument tuples, the head's arguments, the inequalities)
-    and first atom, and shared by the rules of that shape.
+    are added, and a join with an empty index is not entered.  A join
+    plan is made once per call for each rule shape (the body's argument
+    tuples, the head's arguments, the inequalities) and first atom, and
+    shared by the rules of that shape.
     """
     facts = _edb_facts(abox, program)
     indexes = {}    # (pred, arity) -> {positions: (key getter, {key: [tuple]})}
@@ -273,7 +278,8 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
             plan = plans[shape] = _plan(rule, i)
         sources = [index(body[j].pred, len(body[j].args), bound)
                    for j, bound, *_ in plan[0][1:]]
-        _join(plan, sources, 0, rows, {}, new.setdefault((head.pred, len(head.args)), set()))
+        if all(sources):    # an empty index joins to nothing
+            _join(plan, sources, 0, rows, {}, new.setdefault((head.pred, len(head.args)), set()))
 
     uses = {}       # (pred, arity) -> [(rule number, body position)]
     new = {}
@@ -282,9 +288,9 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
             uses.setdefault((a.pred, len(a.args)), []).append((r, i))
         if not rule.body:
             new.setdefault((rule.head.pred, 0), set()).add(())
-            continue
-        a = rule.body[0]
-        derive(r, 0, [t for t in facts.get(a.pred, ()) if len(t) == len(a.args)], new)
+        elif all(facts.get(a.pred) for a in rule.body):
+            a = rule.body[0]
+            derive(r, 0, [t for t in facts[a.pred] if len(t) == len(a.args)], new)
     while new:
         delta = {}
         for (pred, arity), ts in new.items():

@@ -388,8 +388,7 @@ def complete_by_rounds(tbox: TBox, abox: ABox, max_depth: int = 20,
     labels = {a: set() for a in sorted(abox.individuals())}
     for name, a in abox.concept_assertions:
         labels[a].add(Atom(name))
-    struct = _Structure(labels, {}, abox.role_assertions, False,
-                        pair_blocking=bool(functional))
+    struct = _Structure(labels, abox.role_assertions, pair_blocking=bool(functional))
     assertions = sum(len(v) for v in labels.values()) + len(struct.edges)
     bottom = False
     truncated = False
@@ -465,6 +464,6 @@ def complete_by_rounds(tbox: TBox, abox: ABox, max_depth: int = 20,
                     changed |= add_concept(x, Bot())
 
     status = "complete" if (bottom or not truncated) else "budget-exhausted"
-    return Completion(tbox, abox, c_t,
-                      {k: frozenset(v) for k, v in labels.items()}, struct.origin,
-                      frozenset(struct.edges), status, bottom)
+    struct.labels = {k: frozenset(v) for k, v in labels.items()}
+    return Completion(tbox, abox, c_t, struct.labels, struct.origin,
+                      frozenset(struct.edges), status, bottom, structure=struct)

@@ -5,11 +5,11 @@ import pytest
 
 from omq.syntax import (
     ABox, And, Atom, Bot, CQ, ELIQ, Exists, Implies, Not, Or, Role, TBox,
-    Top, UCQ, eliq_to_cq, parse_abox, parse_tbox,
+    Top, UCQ, eliq_to_cq, parse_abox, parse_tbox, subconcepts,
 )
 from omq.semantics import Interpretation, eval_concept, is_model, match_query
 from omq.chase import (
-    Completion, InconclusiveError, complete, horn_certain_answer_cq,
+    Completion, InconclusiveError, _Structure, complete, horn_certain_answer_cq,
     horn_entails_eliq, normalize_horn,
 )
 from omq.tableau import abox_consistent
@@ -218,6 +218,92 @@ def test_premise_matches_two_abox_edges_from_a_late_fact():
     a = parse_abox("r(a,b)\nr(b,c)\ns(c,d)\ns(d,e)\ns(e,f)\nE(f)")
     assert horn_entails_eliq(t, a, ELIQ(B, "x"), "a")
     assert complete(t, a).labels == complete_by_rounds(t, a).labels
+
+
+# The horn benchmark's TBoxes: cyclic existentials that block, recursive
+# premises, and a functional inverse role.
+HORN_TBOXES = [parse_tbox(text) for text in (
+    "A sub some r.B\nB sub some r.A\nsome r.D sub D\nB and C sub D\nsome inv(r).C sub C",
+    "A sub some inv(s).B\nB sub some inv(s).A\nsome s.E sub E\nC sub E",
+    "func(inv(r))\nA sub some r.B\nB sub some r.A\nsome r.C sub C",
+)]
+
+
+def _horn_tree(n):
+    """A tree over r (parent to child) and s (either way), with every
+    individual but the root labelled A, B or C."""
+    lines = []
+    for k in range(1, n):
+        a, b = f"a{(k - 1) // 2}", f"a{k}"
+        lines += [(f"r({a},{b})", f"s({a},{b})", f"s({b},{a})")[k % 3], f"{'ABC'[k % 3]}({b})"]
+    return parse_abox("\n".join(lines))
+
+
+def test_complete_matches_no_premise_whose_conclusions_hold(monkeypatch):
+    # an Implies settles once its conclusion is in the label: a premise
+    # all of whose conclusions an individual already has is never
+    # matched there again
+    match = _Structure.match
+    depth = 0
+    matched, stale = 0, []
+
+    def spy(self, concept, x):
+        nonlocal depth, matched
+        if depth == 0:      # a premise; deeper calls match its parts
+            matched += 1
+            if conclusions[concept] <= self.labels[x]:
+                stale.append((concept, x))
+        depth += 1
+        try:
+            return match(self, concept, x)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(_Structure, "match", spy)
+    rng = random.Random(9)
+    kbs = [_rand_horn_kb(rng) for _ in range(300)]
+    kbs += [(t, _horn_tree(n)) for t in HORN_TBOXES for n in (12, 30)]
+    for t, abox in kbs:
+        conclusions = {}
+        for c in subconcepts(normalize_horn(t)):
+            if isinstance(c, Implies):
+                conclusions.setdefault(c.left, set()).add(c.right)
+        complete(t, abox, max_depth=60)
+        assert not stale, (t, abox, stale[:3])
+    assert matched > 10000
+
+
+def test_forall_reaches_a_successor_made_after_it():
+    # all r.B is in a's label a pass before some r.C makes the
+    # r-successor: a Forall never settles, so a later visit reaches it
+    t = parse_tbox("A sub all r.B\nA sub E\nE sub some r.C\nsome r.(B and C) sub D")
+    c = complete(t, parse_abox("A(a)"))
+    assert Atom("D") in c.labels["a"]
+
+
+def test_one_structure_serves_the_whole_completion(monkeypatch):
+    # the run's own structure answers every later question
+    init = _Structure.__init__
+    built = 0
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Structure, "__init__", counting)
+    t = HORN_TBOXES[0]
+    abox = _horn_tree(12)
+    q = ELIQ(Exists(r, Atom("D")), "x")
+    c = complete(t, abox)
+    answers = {a for a in sorted(abox.individuals())
+               if horn_entails_eliq(t, abox, q, a, completion=c)}
+    assert answers and answers != abox.individuals()
+    # A(a3): r-successors alternate B and A, the fourth past a blocked one
+    assert c.matches(Exists(r, Exists(r, Exists(r, Exists(r, A)))), "a3")
+    assert horn_certain_answer_cq(t, abox, eliq_to_cq(q), (min(answers),), completion=c)
+    assert c.unrolled_interpretation(3).domain > abox.individuals()
+    assert built == 1
 
 
 # -- horn_entails_eliq --------------------------------------------------------

@@ -6,7 +6,7 @@ from omq.syntax import ABox, Atom, ELIQ, Exists, Role, TBox, parse_abox, parse_t
 from omq.chase import horn_entails_eliq
 from omq.datalog import (
     DAtom, DOM, DRule, GlueRule, NoOracleError, Program, SizeGuardError,
-    _edb_facts, _plan, build_rewriting, evaluate, parse_program, print_program,
+    _edb_facts, _join, _plan, build_rewriting, evaluate, parse_program, print_program,
     soundness_status, union_programs,
 )
 
@@ -217,6 +217,54 @@ def test_evaluate_plans_each_rule_shape_once(monkeypatch):
                                 ["A(a0)", "C(a3)", "B(a5)", "D(a8)"]))
     assert evaluate(p, abox)
     assert 0 < planned <= len(shapes) < len(p.rules) // 20
+
+
+def test_evaluate_joins_no_empty_relation(monkeypatch):
+    # almost every rewriting rule reads a type-set relation, empty until
+    # a seed fills it: such a rule waits for its delta instead of being
+    # joined in round one
+    t = parse_tbox("A sub some r.B\nB sub some r.A\nsome r.D sub D\nB and C sub D\n"
+                   "some inv(r).C sub C")
+    p = build_rewriting(t, ELIQ(Exists(r, Atom("D")), "x"))
+    entered = 0
+
+    def join(plan, sources, k, *args):
+        nonlocal entered
+        entered += k == 0
+        return _join(plan, sources, k, *args)
+
+    monkeypatch.setattr("omq.datalog._join", join)
+    abox = parse_abox("\n".join([f"r(a{(k - 1) // 2},a{k})" for k in range(1, 15)] +
+                                ["A(a3)", "C(a1)", "B(a6)", "D(a12)", "C(a9)"]))
+    got = evaluate(p, abox)
+    assert got == evaluate_naive(p, abox) and got
+    assert 0 < entered < len(p.rules) // 4
+
+
+# Rules whose body relations first hold facts in different rounds, or
+# never: a chain of IDB relations, the 0-ary clash relation, and an
+# input relation (C) that no ABox below asserts.
+LATE_RULES = {
+    "idb chain": ["P1(x) :- A(x).", "P2(x) :- r(x,y), P1(y).",
+                  "P3(x) :- s(x,y), P2(y).", "goal(x) :- P3(x), P1(x).",
+                  "goal(x) :- P2(x), B(x)."],
+    "clash": ["P(x) :- r(x,y), A(y).", "clash() :- P(x), B(x).",
+              "clash() :- s(y,z1), s(y,z2), z1 != z2.",
+              "goal(x) :- dom(x), clash().", "goal(x) :- A(x)."],
+    "absent input": ["P(x) :- A(x).", "P(x) :- r(x,y), P(y).",
+                     "goal(x) :- P(x), C(x).", "goal(x) :- s(x,y), C(y).",
+                     "goal(x) :- P(x), B(x)."],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_RULES))
+def test_rules_that_fire_late_keep_their_answers(case):
+    p = parse_program("\n".join(["goal/1.", *LATE_RULES[case]]))
+    rng = random.Random(71)
+    for _ in range(60):
+        abox = rand_abox(rng, n_individuals=5, n_assertions=9,
+                         concepts=("A", "B"), roles=("r", "s"))
+        assert evaluate(p, abox) == evaluate_naive(p, abox), (case, abox)
 
 
 def test_monotone_for_inequality_free():
