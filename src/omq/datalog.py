@@ -1,6 +1,11 @@
 """Datalog(!=) programs: representation, bottom-up evaluation, and the
 monadic rewriting built from a TBox and an ELIQ.
 
+A program comes from ``build_rewriting`` or is built as a value of
+``DAtom``, ``DRule`` and ``Program``.  ``print_program`` (and
+``str(program)``) writes the ``.dl`` text, a ``goal/arity.`` header and
+one rule per line; the library does not read that text back.
+
 Programs evaluate over ABoxes with inequality read as distinctness of
 individual names.  The unary relation ``dom`` is built in and always
 holds the active domain Ind(A); the rewriting uses it to seed the
@@ -25,12 +30,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional
 
-from .syntax import (
-    ABox, ELIQ, ELQ, Role, TBox, dialect, is_horn_alcfi,
-)
+from .syntax import ABox, ELIQ, ELQ, Role, TBox
 from .types import compute_types, succ_relation
 
 DOM = "dom"
@@ -38,10 +41,6 @@ DOM = "dom"
 
 class SizeGuardError(RuntimeError):
     """The rewriting would need an impractical number of IDB relations."""
-
-
-class NoOracleError(RuntimeError):
-    """No exact certain-answer oracle applies to the TBox's dialect."""
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,6 @@ class DRule:
     head: DAtom
     body: tuple            # of DAtom
     neq: tuple = ()        # of (var, var) pairs
-
-    def variables(self):
-        out = set(self.head.args)
-        for a in self.body:
-            out |= set(a.args)
-        for x, y in self.neq:
-            out |= {x, y}
-        return out
 
     def __str__(self):
         parts = [str(a) for a in self.body]
@@ -94,6 +85,17 @@ class Program:
     def idb(self) -> frozenset:
         return frozenset(r.head.pred for r in self.rules)
 
+    @cached_property
+    def uses(self) -> dict:
+        """Each body relation, keyed by (pred, arity), with the (rule
+        number, body position) pairs that read it: built on first use and
+        shared by every evaluation of the program, which only reads it."""
+        uses = {}
+        for r, rule in enumerate(self.rules):
+            for i, a in enumerate(rule.body):
+                uses.setdefault((a.pred, len(a.args)), []).append((r, i))
+        return {key: tuple(pairs) for key, pairs in uses.items()}
+
     def __str__(self):
         return print_program(self)
 
@@ -102,61 +104,6 @@ def print_program(p: Program) -> str:
     lines = [f"{p.goal}/{p.goal_arity}."]
     lines += [str(r) for r in sorted(p.rules, key=str)]
     return "\n".join(lines) + "\n"
-
-
-_HEADER_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*/\s*(?P<arity>\d+)\s*\.?")
-_DATOM_RE = re.compile(
-    r"(?P<pred>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<args>[^)]*)\)\s*")
-_NEQ_RE = re.compile(r"(?P<x>[A-Za-z_][A-Za-z0-9_]*)\s*!=\s*(?P<y>[A-Za-z_][A-Za-z0-9_]*)")
-
-
-def parse_program(text: str) -> Program:
-    """Parse the ``.dl`` format: a ``goal/arity.`` header, then one
-    ``head :- atom, atom, x != y.`` rule per line."""
-    from .syntax import ParseError
-    goal, goal_arity = "goal", 1
-    rules = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
-        if not saw_header:
-            m = _HEADER_RE.fullmatch(stmt)
-            if not m:
-                raise ParseError("expected a goal/arity header", lineno)
-            goal, goal_arity = m.group("name"), int(m.group("arity"))
-            saw_header = True
-            continue
-        head_s, sep, body_s = stmt.partition(":-")
-        if not sep:
-            head_s = stmt
-            body_s = ""
-        m = _DATOM_RE.fullmatch(head_s.strip().rstrip("."))
-        if not m:
-            raise ParseError(f"not a head atom: {head_s.strip()!r}", lineno)
-        head = DAtom(m.group("pred"),
-                     tuple(v.strip() for v in m.group("args").split(",") if v.strip()))
-        body = []
-        neq = []
-        for part in re.split(r",(?![^()]*\))", body_s.rstrip(".")):
-            part = part.strip()
-            if not part:
-                continue
-            nm = _NEQ_RE.fullmatch(part)
-            if nm:
-                neq.append((nm.group("x"), nm.group("y")))
-                continue
-            am = _DATOM_RE.fullmatch(part)
-            if not am:
-                raise ParseError(f"not an atom: {part!r}", lineno)
-            body.append(DAtom(am.group("pred"),
-                              tuple(v.strip() for v in am.group("args").split(",")
-                                    if v.strip())))
-        rules.append(DRule(head, tuple(body), tuple(neq)))
-    if not saw_header:
-        raise ParseError("empty program", 1)
-    return Program(tuple(rules), goal, goal_arity)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +197,8 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
     are added, and a join with an empty index is not entered.  A join
     plan is made once per call for each rule shape (the body's argument
     tuples, the head's arguments, the inequalities) and first atom, and
-    shared by the rules of that shape.
+    shared by the rules of that shape.  The rules a delta feeds come from
+    the program's ``uses`` index, built once per program.
     """
     facts = _edb_facts(abox, program)
     indexes = {}    # (pred, arity) -> {positions: (key getter, {key: [tuple]})}
@@ -267,7 +215,7 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
         return by_positions[positions][1]
 
     plans = {}      # (shape, first atom) -> plan
-    rules = program.rules
+    rules, uses = program.rules, program.uses
 
     def derive(r, i, rows, new):
         rule = rules[r]
@@ -281,11 +229,8 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
         if all(sources):    # an empty index joins to nothing
             _join(plan, sources, 0, rows, {}, new.setdefault((head.pred, len(head.args)), set()))
 
-    uses = {}       # (pred, arity) -> [(rule number, body position)]
     new = {}
     for r, rule in enumerate(rules):
-        for i, a in enumerate(rule.body):
-            uses.setdefault((a.pred, len(a.args)), []).append((r, i))
         if not rule.body:
             new.setdefault((rule.head.pred, 0), set()).add(())
         elif all(facts.get(a.pred) for a in rule.body):
@@ -400,115 +345,3 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
         goal_rules.append(DRule(DAtom(goal, x), (DAtom(DOM, x), DAtom(clash, ()))))
     rules = tuple(seed_rules + inter_rules + prop_rules + clash_rules + goal_rules)
     return Program(rules, goal, 1)
-
-
-# ---------------------------------------------------------------------------
-# Empirical soundness/completeness reporting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SoundnessReport:
-    oracle: str
-    checked: int
-    sound: bool
-    complete: bool
-    sound_counterexamples: tuple
-    completeness_counterexamples: tuple
-
-
-def soundness_status(tbox: TBox, q, program: Program,
-                     corpus: Iterable[ABox]) -> SoundnessReport:
-    """Check the program against an exact oracle on the corpus.
-
-    Soundness failures indicate an implementation bug; completeness
-    failures are evidence against unraveling tolerance of the TBox, not
-    an error.  Raises NoOracleError when no exact oracle applies.
-    """
-    concept = q.concept if isinstance(q, (ELIQ, ELQ)) else q
-    if is_horn_alcfi(tbox):
-        oracle_name = "chase"
-        from .chase import horn_entails_eliq
-
-        def oracle(abox, a):
-            return horn_entails_eliq(tbox, abox, ELIQ(concept, "x"), a)
-    elif dialect(tbox) in ("ALC", "ALCI"):
-        oracle_name = "csp"
-        from .csp import certain_answer_eliq_csp
-
-        def oracle(abox, a):
-            return certain_answer_eliq_csp(tbox, abox, concept, a)
-    else:
-        raise NoOracleError(f"no exact oracle for dialect {dialect(tbox)}")
-
-    sound_cex = []
-    complete_cex = []
-    checked = 0
-    for abox in corpus:
-        answers = {t[0] for t in evaluate(program, abox)}
-        for a in sorted(abox.individuals()):
-            checked += 1
-            truth = oracle(abox, a)
-            if a in answers and not truth:
-                sound_cex.append((abox, a))
-            if truth and a not in answers:
-                complete_cex.append((abox, a))
-    return SoundnessReport(oracle_name, checked,
-                           not sound_cex, not complete_cex,
-                           tuple(sound_cex), tuple(complete_cex))
-
-
-# ---------------------------------------------------------------------------
-# Unions and conjunctive glue
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GlueRule:
-    """The CQ-shaped head rule: goal(answer_vars) <- atoms and one
-    sub-goal call per (variable, program index) pair."""
-    answer_vars: tuple
-    atoms: tuple = ()      # of DAtom over answer/extra variables
-    calls: tuple = ()      # of (variable, program index)
-
-
-def _rename_program(p: Program, prefix: str):
-    mapping = {pred: f"{prefix}{pred}" for pred in p.idb()}
-    rules = []
-    for r in p.rules:
-        head = DAtom(mapping[r.head.pred], r.head.args)
-        body = tuple(DAtom(mapping.get(a.pred, a.pred), a.args) for a in r.body)
-        rules.append(DRule(head, body, r.neq))
-    return rules, mapping[p.goal]
-
-
-def union_programs(programs, glue: Optional[GlueRule] = None) -> Program:
-    """A single program answering the union of the inputs (UCQ case), or
-    the conjunctive glue over their goals.  IDB names are renamed apart."""
-    programs = list(programs)
-    if not programs:
-        raise ValueError("need at least one program")
-    all_rules = []
-    subgoals = []
-    for i, p in enumerate(programs):
-        rules, goal_name = _rename_program(p, f"u{i}_")
-        all_rules.extend(rules)
-        subgoals.append((goal_name, p.goal_arity))
-    if glue is None:
-        arity = programs[0].goal_arity
-        if any(a != arity for _, a in subgoals):
-            raise ValueError("plain union needs equal goal arities")
-        args = tuple(f"x{i}" for i in range(arity))
-        for goal_name, _ in subgoals:
-            all_rules.append(DRule(DAtom("goal", args), (DAtom(goal_name, args),)))
-        return Program(tuple(all_rules), "goal", arity)
-    body = list(glue.atoms)
-    for var, i in glue.calls:
-        goal_name, arity = subgoals[i]
-        if arity != 1:
-            raise ValueError("glue calls expect unary sub-goals")
-        body.append(DAtom(goal_name, (var,)))
-    bound = {v for a in body for v in a.args}
-    for v in glue.answer_vars:
-        if v not in bound:
-            body.append(DAtom(DOM, (v,)))
-    all_rules.append(DRule(DAtom("goal", tuple(glue.answer_vars)), tuple(body)))
-    return Program(tuple(all_rules), "goal", len(glue.answer_vars))

@@ -307,9 +307,6 @@ class ABox:
             out.add(b)
         return out
 
-    def is_empty(self) -> bool:
-        return not self.concept_assertions and not self.role_assertions
-
     def concept_names(self) -> set[str]:
         return {n for n, _ in self.concept_assertions}
 

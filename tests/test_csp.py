@@ -87,7 +87,7 @@ def test_restrict_full_signature_keeps_all():
 def test_restrict_empty_signature():
     a = parse_abox("A(a)\nr(a,b)")
     out = restrict_abox(a, Signature.of((), ()))
-    assert out.is_empty()
+    assert out == ABox.of()
 
 
 def test_restrict_partial():

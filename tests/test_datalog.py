@@ -1,16 +1,18 @@
 import random
+import re
 
 import pytest
 
-from omq.syntax import ABox, Atom, ELIQ, Exists, Role, TBox, parse_abox, parse_tbox
+from omq.syntax import Atom, ELIQ, Exists, Role, TBox, parse_abox, parse_tbox
+from omq.analysis import _is_forest
 from omq.chase import horn_entails_eliq
+from omq.csp import booleanize_eliq, certain_boolean_eliq_csp, template_from_omq
 from omq.datalog import (
-    DAtom, DOM, DRule, GlueRule, NoOracleError, Program, SizeGuardError,
-    _edb_facts, _join, _plan, build_rewriting, evaluate, parse_program, print_program,
-    soundness_status, union_programs,
+    DAtom, DOM, DRule, Program, SizeGuardError,
+    _edb_facts, _join, _plan, build_rewriting, evaluate, print_program,
 )
 
-from genutil import rand_abox, rand_horn_tbox
+from genutil import rand_abox, rand_eli_concept, rand_horn_tbox, rand_tbox
 from oracles import bruteforce_certain_answer
 
 A = Atom("A")
@@ -29,6 +31,29 @@ FUNC_VIOLATION = Program((
           (("y1", "y2"),)),
     DRule(DAtom("goal", ()), (DAtom("M", ("x",)),)),
 ), "goal", 0)
+
+
+def rule(text):
+    """One rule written as a ``.dl`` line, e.g. ``P(x) :- r(x,y), A(y), x != y.``"""
+    head, _, body = text.rstrip(".").partition(" :- ")
+    atoms = [DAtom(p, tuple(filter(None, args.split(","))))
+             for p, args in re.findall(r"(\w+)\(([^)]*)\)", f"{head} {body}")]
+    neq = tuple(tuple(m.split(" != ")) for m in re.findall(r"\w+ != \w+", body))
+    return DRule(atoms[0], tuple(atoms[1:]), neq)
+
+
+def test_print_program_writes_dl_text():
+    # a goal/arity header, then the rules sorted by their text
+    assert print_program(REACHABILITY) == (
+        "goal/1.\n"
+        "P(x) :- A(x).\n"
+        "P(x) :- r(x,y), P(y).\n"
+        "goal(x) :- P(x).\n")
+    assert print_program(FUNC_VIOLATION) == (
+        "goal/0.\n"
+        "goal() :- M(x).\n"
+        "goal() :- r(x,y1), r(x,y2), y1 != y2.\n")
+    assert str(REACHABILITY) == print_program(REACHABILITY)
 
 
 def test_reachability_program():
@@ -192,7 +217,7 @@ def test_rules_of_one_shape_keep_their_own_answers(case):
     rules = SHAPE_TWINS[case]
     rng = random.Random(70)
     for head in ("P", "Q"):
-        p = parse_program("\n".join(["goal/1.", f"goal(x) :- {head}(x).", *rules]))
+        p = Program(tuple(map(rule, [f"goal(x) :- {head}(x).", *rules])), "goal", 1)
         for _ in range(40):
             abox = rand_abox(rng, n_individuals=4, n_assertions=8,
                              concepts=("A", "B"), roles=("r", "s"))
@@ -217,6 +242,17 @@ def test_evaluate_plans_each_rule_shape_once(monkeypatch):
                                 ["A(a0)", "C(a3)", "B(a5)", "D(a8)"]))
     assert evaluate(p, abox)
     assert 0 < planned <= len(shapes) < len(p.rules) // 20
+
+
+def test_evaluate_reads_one_rule_index_per_program():
+    # the index of which rules read a relation is built on first use,
+    # then shared by later calls, which leave it as it was built
+    p = build_rewriting(T_EXISTS_L, ELIQ(A, "x"))
+    abox = parse_abox("r(a,b)\nr(b,c)\nA(c)")
+    answers = evaluate(p, abox)
+    uses = p.uses
+    assert evaluate(p, abox) == answers == {("a",), ("b",), ("c",)}
+    assert p.uses is uses and uses == Program.uses.func(p)
 
 
 def test_evaluate_joins_no_empty_relation(monkeypatch):
@@ -259,7 +295,7 @@ LATE_RULES = {
 
 @pytest.mark.parametrize("case", sorted(LATE_RULES))
 def test_rules_that_fire_late_keep_their_answers(case):
-    p = parse_program("\n".join(["goal/1.", *LATE_RULES[case]]))
+    p = Program(tuple(map(rule, LATE_RULES[case])), "goal", 1)
     rng = random.Random(71)
     for _ in range(60):
         abox = rand_abox(rng, n_individuals=5, n_assertions=9,
@@ -276,13 +312,6 @@ def test_monotone_for_inequality_free():
                           concepts=("A",), roles=("r",))
         bigger = abox.union(extra)
         assert evaluate(REACHABILITY, abox) <= evaluate(REACHABILITY, bigger)
-
-
-def test_program_text_roundtrip():
-    for p in (REACHABILITY, FUNC_VIOLATION):
-        back = parse_program(print_program(p))
-        assert set(back.rules) == set(p.rules)
-        assert (back.goal, back.goal_arity) == (p.goal, p.goal_arity)
 
 
 # -- build_rewriting ----------------------------------------------------------
@@ -442,6 +471,36 @@ def test_rewriting_agrees_with_chase_on_random_horn_tboxes():
     assert min(outcomes.values()) > 200
 
 
+def test_rewriting_agrees_with_csp_on_random_alc_alci_tboxes():
+    # the CSP route is exact for ALC/ALCI (homomorphism duality); the
+    # rewriting is arc consistency, so it is sound, and complete on
+    # forest-shaped ABoxes, where arc consistency decides homomorphisms
+    # (Freuder, JACM 1982; Feder & Vardi, SIAM J. Comput. 1998)
+    rng = random.Random(72)
+    outcomes = {True: 0, False: 0}
+    forests = 0
+    for k in range(40):
+        t = rand_tbox(rng, n_inclusions=2, depth=1, allow_inverse=k % 2 == 0)
+        concept = rand_eli_concept(rng, depth=1)
+        p = build_rewriting(t, ELIQ(concept, "x"))
+        templates = {}      # booleanized query -> its template
+        for _k in range(4):
+            abox = rand_abox(rng, n_individuals=3, n_assertions=4)
+            answers = {a for (a,) in evaluate(p, abox)}
+            forest = _is_forest(abox)
+            forests += forest
+            for a in sorted(abox.individuals()):
+                _, marked, q = booleanize_eliq(t, abox, concept, a)
+                if q not in templates:
+                    templates[q] = template_from_omq(t, q)
+                truth = certain_boolean_eliq_csp(t, marked, q, template=templates[q])
+                assert a not in answers or truth, (t, concept, abox, a)
+                if forest:
+                    assert (a in answers) == truth, (t, concept, abox, a)
+                outcomes[truth] += 1
+    assert min(outcomes.values()) >= 20 and forests >= 20
+
+
 def test_rewriting_size_guard():
     t = parse_tbox("some r.A sub A")
     with pytest.raises(SizeGuardError):
@@ -454,76 +513,3 @@ def test_rule5_effect_inconsistency_means_all_answers():
     got = evaluate(p, parse_abox("A(a)\nB(b)\nr(b,c)"))
     assert got == {("a",), ("b",), ("c",)}
     assert evaluate(p, parse_abox("B(b)")) == {("b",)}
-
-
-# -- soundness_status ---------------------------------------------------------
-
-def test_soundness_horn_reachability():
-    p = build_rewriting(T_EXISTS_L, ELIQ(A, "x"))
-    rng = random.Random(64)
-    corpus = [rand_abox(rng, n_individuals=4, n_assertions=5,
-                        concepts=("A",), roles=("r",)) for _ in range(30)]
-    report = soundness_status(T_EXISTS_L, ELIQ(A, "x"), p, corpus)
-    assert report.oracle == "chase"
-    assert report.sound and report.complete
-    assert report.checked > 0
-
-
-def test_soundness_empty_corpus_vacuous():
-    p = build_rewriting(TBox.of(), ELIQ(A, "x"))
-    report = soundness_status(TBox.of(), ELIQ(A, "x"), p, [])
-    assert report.sound and report.complete and report.checked == 0
-
-
-def test_soundness_no_oracle():
-    t = parse_tbox("func(r)\nA sub A1 or A2")
-    p = build_rewriting(t, ELIQ(A, "x"))
-    with pytest.raises(NoOracleError):
-        soundness_status(t, ELIQ(A, "x"), p, [])
-
-
-# -- union_programs -----------------------------------------------------------
-
-def test_union_single_program():
-    u = union_programs([REACHABILITY])
-    rng = random.Random(65)
-    for _ in range(30):
-        abox = rand_abox(rng, concepts=("A",), roles=("r",))
-        assert evaluate(u, abox) == evaluate(REACHABILITY, abox)
-
-
-def reach_to(name):
-    return Program((
-        DRule(DAtom("goal", ("x",)), (DAtom("P", ("x",)),)),
-        DRule(DAtom("P", ("x",)), (DAtom(name, ("x",)),)),
-        DRule(DAtom("P", ("x",)), (DAtom("r", ("x", "y")), DAtom("P", ("y",)))),
-    ), "goal", 1)
-
-
-def test_union_answers_ucq():
-    u = union_programs([reach_to("A"), reach_to("B")])
-    rng = random.Random(66)
-    for _ in range(60):
-        abox = rand_abox(rng, n_individuals=4, n_assertions=6,
-                         concepts=("A", "B"), roles=("r",))
-        expect = evaluate(reach_to("A"), abox) | evaluate(reach_to("B"), abox)
-        assert evaluate(u, abox) == expect
-
-
-def test_glue_empty_phi_is_intersection():
-    glue = GlueRule(("x",), (), (("x", 0), ("x", 1)))
-    u = union_programs([reach_to("A"), reach_to("B")], glue)
-    rng = random.Random(67)
-    for _ in range(60):
-        abox = rand_abox(rng, n_individuals=4, n_assertions=6,
-                         concepts=("A", "B"), roles=("r",))
-        expect = evaluate(reach_to("A"), abox) & evaluate(reach_to("B"), abox)
-        assert evaluate(u, abox) == expect
-
-
-def test_glue_with_atoms():
-    # goal(x) <- r(x,y) and goal_A(y): reach-an-A via one explicit hop
-    glue = GlueRule(("x",), (DAtom("r", ("x", "y")),), (("y", 0),))
-    u = union_programs([reach_to("A")], glue)
-    got = evaluate(u, parse_abox("r(a,b)\nr(b,c)\nA(c)"))
-    assert got == {("a",), ("b",)}

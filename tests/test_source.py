@@ -1,9 +1,11 @@
 import ast
 import pathlib
+from collections import Counter
 
 import omq
 
 MODULES = sorted(pathlib.Path(omq.__file__).parent.glob("*.py"))
+BENCH_SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def test_library_has_no_assert_statements():
@@ -77,3 +79,65 @@ def test_library_keeps_no_process_global_state():
                   if isinstance(node, (ast.Assign, ast.AnnAssign))
                   and node.value is not None and _is_mutable_container(node.value)]
     assert not found
+
+
+# Public library names that no code outside the tests calls, kept on purpose.
+TESTS_ONLY = (
+    # the CSP-to-TBox encoding, a construction of the paper checked by the tests
+    "tbox_from_template", "template_entails_marker", "admits_trivial_models",
+    "AbstractionMap.hiding_concept",
+    # the CSP certain answer at an individual, the exact ALC/ALCI oracle of
+    # the differential tests
+    "certain_answer_eliq_csp",
+)
+
+
+def _named(tree):
+    """How often the tree reads each name: identifiers, attributes,
+    imported names, and the dotted parts of string constants (the
+    benchmark names the functions it traces as strings)."""
+    found = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rpartition(".")[2]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.update(p for p in n.value.split(".") if p.isidentifier())
+    return found
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each public module-level function, class
+    and constant, and each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name) and not n.id.startswith("_"))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def test_library_names_have_a_caller_outside_tests():
+    # a public name must be read by library code (its own definition
+    # aside), by the package's __init__ or by the benchmark scripts;
+    # a method counts as read when any code reads an attribute of its name
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    named = sum((_named(t) for t in trees.values()), Counter())
+    for path in BENCH_SCRIPTS:
+        named += _named(ast.parse(path.read_text(), str(path)))
+    unread = set()
+    for tree in trees.values():
+        for qualified, node in _public_definitions(tree):
+            name = qualified.rpartition(".")[2]
+            if named[name] <= _named(node)[name]:
+                unread.add(qualified)
+    assert sorted(unread - set(TESTS_ONLY)) == [], "only the tests reach these names"
+    assert sorted(set(TESTS_ONLY) - unread) == [], "a kept name has a caller now"
