@@ -28,6 +28,14 @@ description logic subsumption", 1999):
   unchanged size holds the same concepts;
 * edges between individuals are read from an adjacency index.
 
+The search reads concepts and roles as ints (that paper's encoding
+step).  Each TBox value is compiled once and keeps the result: its
+internalized inclusions, functional roles and blocking mode, and a table
+giving each concept of their closure an id with its class, parts,
+complementary literal and sort key.  Labels map ids to dependency sets.
+A knowledge base numbers the concepts and role names only it brings in a
+copy of the table, for its own run.
+
 The node budget bounds the total number of nodes created across all
 branches; exhausting it raises BudgetExceededError, which is distinct
 from both outcomes of the decision.
@@ -35,12 +43,13 @@ from both outcomes of the decision.
 
 from __future__ import annotations
 
+import copy
+from collections import deque
 from operator import itemgetter
-from typing import Optional
 
 from .syntax import (
-    ABox, And, Atom, Bot, Concept, Exists, Forall, Implies, Not, Or, Role,
-    TBox, Top, concept_sort_key,
+    ABox, And, Atom, Bot, Concept, Exists, Forall, Implies, Not, Or, TBox,
+    Top, concept_sort_key, dialect, subconcepts,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -118,6 +127,67 @@ def nnf_not(c: Concept) -> Concept:
 
 
 # ---------------------------------------------------------------------------
+# The compiled TBox
+# ---------------------------------------------------------------------------
+
+class _Compiled:
+    """A TBox as the search reads it.  ``ids`` numbers from 0 the closure
+    of the internalized inclusions and ``not A`` for each concept name A,
+    which a negated query seeds.  An id indexes ``kind`` (the class),
+    ``parts`` ((left, right) ids of a conjunction or disjunction, (filler,
+    role) ids of a restriction), ``neg`` (the complementary literal's id,
+    or -1) and ``rank`` (its ``concept_sort_key``, by which the search
+    chooses).  Role name r has an even id i, and inv(r) the id i ^ 1."""
+
+    def __init__(self, tbox: TBox):
+        self.kind, self.parts, self.neg, self.rank = [], [], [], []
+        self.ids, self.role_ids = {}, {}    # concept -> id; role name -> id
+        gcis = {nnf(Or(Not(l), r)) for l, r in tbox.inclusions} - {Top()}
+        self._number(gcis | {Not(Atom(a)) for a in tbox.concept_names()}, tbox.role_names())
+        # the internalized inclusions in sort order, as a label to seed
+        self.globals = dict.fromkeys(
+            sorted((self.ids[c] for c in gcis), key=self.rank.__getitem__), _NO_DEPS)
+        self.functional = tuple(self.role_ids[r.name] + r.inverted
+                                for r in sorted(tbox.functional))
+        self.blocking = ("pair" if self.functional
+                         else "equality" if "I" in dialect(tbox) else "subset")
+
+    def _number(self, concepts, role_names):
+        """Give ids to the concepts, their parts and the role names that
+        have none yet."""
+        ids, role_ids = self.ids, self.role_ids
+        new = sorted({s for c in concepts if c not in ids for s in subconcepts(c)
+                      if s not in ids}, key=concept_sort_key)
+        for name in sorted(set(role_names).union(
+                s.role.name for s in new if isinstance(s, (Exists, Forall))) - role_ids.keys()):
+            role_ids[name] = 2 * len(role_ids)
+        ids.update((c, i) for i, c in enumerate(new, len(ids)))
+        self.kind += map(type, new)
+        self.rank += map(concept_sort_key, new)
+        self.neg += [-1] * len(new)
+        for c in new:
+            if isinstance(c, (And, Or)):
+                self.parts.append((ids[c.left], ids[c.right]))
+            elif isinstance(c, (Exists, Forall)):
+                self.parts.append((ids[c.filler], role_ids[c.role.name] + c.role.inverted))
+            else:
+                self.parts.append(())
+                if isinstance(c, Not):      # in NNF, a negated concept name
+                    self.neg[ids[c]], self.neg[ids[c.sub]] = ids[c.sub], ids[c]
+
+    def extended(self, concepts, role_names) -> "_Compiled":
+        """This table if it numbers the concepts and role names already,
+        else a copy that numbers them too; this table stays as it is."""
+        if all(c in self.ids for c in concepts) and self.role_ids.keys() >= role_names:
+            return self
+        out = copy.copy(self)
+        out.__dict__.update((k, v.copy()) for k, v in vars(self).items()
+                            if isinstance(v, (list, dict)))
+        out._number(concepts, role_names)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Completion graph
 # ---------------------------------------------------------------------------
 
@@ -128,13 +198,13 @@ class _Node:
     def __init__(self, nid, label, parent, parent_role, is_root,
                  edge_deps=_NO_DEPS, children=(), or_memo=(-1, None)):
         self.nid = nid
-        self.label = label          # Concept -> frozenset of decision ids
+        self.label = label          # concept id -> frozenset of decision ids
         self.parent = parent        # nid or None
-        self.parent_role = parent_role  # Role: (parent, this) in role^I
+        self.parent_role = parent_role  # role id: (parent, this) in role^I
         self.is_root = is_root
         self.edge_deps = edge_deps  # decisions the parent edge depends on
         self.children = list(children)  # child nids
-        self.or_memo = or_memo      # (label size, least open Or or None)
+        self.or_memo = or_memo      # (label size, least open Or id or None)
 
     def copy(self):
         return _Node(self.nid, dict(self.label), self.parent, self.parent_role,
@@ -169,50 +239,45 @@ class _Clash(Exception):
 
 
 class _Tableau:
+    """One search: a knowledge base over its TBox's compiled table."""
+
     def __init__(self, tbox: TBox, budget: int):
-        self.global_concepts = tuple(
-            sorted({nnf(Or(Not(l), r)) for l, r in tbox.inclusions} - {Top()},
-                   key=concept_sort_key))
-        self.functional = tuple(sorted(tbox.functional))
-        from .syntax import dialect
-        has_inverse = "I" in dialect(tbox)
-        if self.functional:
-            self.blocking = "pair"
-        elif has_inverse:
-            self.blocking = "equality"
-        else:
-            self.blocking = "subset"
+        try:    # compiled once per TBox value and kept on it, like a sort key
+            self.table = tbox._tableau
+        except AttributeError:
+            self.table = _Compiled(tbox)
+            object.__setattr__(tbox, "_tableau", self.table)
         self.budget = budget
         self.created = 0
         self.decisions = 0
-        self.root_adj = {}     # root nid -> {(role name, inverted, root nid)}
+        self.root_adj = {}     # root nid -> {(role id, root nid)}
 
     # -- construction -------------------------------------------------------
 
     def seed(self, individuals, labels, role_edges) -> _State:
-        nodes = {}
-        index = {}
+        t = self.table = self.table.extended(
+            [c for cs in labels.values() for c in cs], {name for name, _a, _b in role_edges})
+        nodes, index = {}, {}
         for i, name in enumerate(sorted(individuals)):
-            label = {c: _NO_DEPS for c in labels.get(name, ())}
-            for c in self.global_concepts:
-                label.setdefault(c, _NO_DEPS)
+            label = dict.fromkeys([t.ids[c] for c in labels.get(name, ())], _NO_DEPS)
+            label.update(t.globals)
             nodes[i] = _Node(i, label, None, None, True)
             index[name] = i
             self.created += 1
         for name, a, b in role_edges:
-            a, b = index[a], index[b]
-            self.root_adj.setdefault(a, set()).add((name, False, b))
-            self.root_adj.setdefault(b, set()).add((name, True, a))
+            r, a, b = t.role_ids[name], index[a], index[b]
+            self.root_adj.setdefault(a, set()).add((r, b))
+            self.root_adj.setdefault(b, set()).add((r ^ 1, a))
         return _State(nodes, set(nodes))
 
-    def _new_child(self, state: _State, parent: int, role: Role, concept,
+    def _new_child(self, state: _State, parent: int, role: int, concept: int,
                    deps) -> int:
         self.created += 1
         if self.created > self.budget:
             raise BudgetExceededError(f"tableau node budget exceeded ({self.budget})")
         nid = max(state.nodes) + 1
         label = {concept: deps}
-        for c in self.global_concepts:
+        for c in self.table.globals:
             label.setdefault(c, _NO_DEPS)
         state.nodes[nid] = _Node(nid, label, parent, role, False, deps)
         state.owned.add(nid)
@@ -221,49 +286,34 @@ class _Tableau:
 
     # -- structure queries ----------------------------------------------------
 
-    def neighbours(self, state: _State, x: int, role: Role):
+    def neighbours(self, state: _State, x: int, role: int):
         """All (y, edge deps) with (x, y) in role^I."""
         nodes = state.nodes
         node = nodes[x]
         out = [(cid, nodes[cid].edge_deps) for cid in node.children
                if nodes[cid].parent_role == role]
-        up = node.parent_role
-        if up is not None and up.name == role.name and up.inverted != role.inverted:
+        if node.parent_role == role ^ 1:
             out.append((node.parent, node.edge_deps))
         if node.is_root:  # roots are never merged away: the index stays valid
-            out.extend((y, _NO_DEPS) for name, inv, y in self.root_adj.get(x, ())
-                       if name == role.name and inv == role.inverted)
+            out.extend((y, _NO_DEPS) for r, y in self.root_adj.get(x, ()) if r == role)
         if len(out) > 1:
             out.sort(key=itemgetter(0))
         return out
-
-    def _ancestors(self, state: _State, x: int):
-        node = state.nodes[x]
-        while node.parent is not None:
-            node = state.nodes[node.parent]
-            yield node
 
     def _directly_blocked(self, state: _State, x: int) -> bool:
         node = state.nodes[x]
         if node.is_root or node.parent is None:
             return False
         lab = node.label.keys()
-        if self.blocking in ("subset", "equality"):
-            # anywhere blocking: any older node may serve as the blocker
-            for y in sorted(state.nodes):
-                if y >= x:
-                    break
-                other = state.nodes[y].label.keys()
-                if self.blocking == "subset":
-                    if lab <= other:
-                        return True
-                elif lab == other:
-                    return True
-            return False
-        for anc in self._ancestors(state, x):  # pairwise: ancestors only
-            if anc.is_root or anc.parent is None:
-                continue
-            if (lab == anc.label.keys()
+        # anywhere blocking: any older node may serve as the blocker
+        if self.table.blocking == "subset":
+            return any(y < x and lab <= n.label.keys() for y, n in state.nodes.items())
+        if self.table.blocking == "equality":
+            return any(y < x and lab == n.label.keys() for y, n in state.nodes.items())
+        anc = node
+        while anc.parent is not None:       # pairwise: tree ancestors only
+            anc = state.nodes[anc.parent]
+            if (anc.parent is not None and lab == anc.label.keys()
                     and node.parent_role == anc.parent_role
                     and state.nodes[node.parent].label.keys()
                     == state.nodes[anc.parent].label.keys()):
@@ -282,22 +332,20 @@ class _Tableau:
     # -- rules ----------------------------------------------------------------
 
     @staticmethod
-    def _add(state: _State, x: int, c, deps) -> bool:
+    def _add(state: _State, x: int, c: int, deps) -> bool:
         if c in state.nodes[x].label:
             return False
         state.own(x).label[c] = deps
         return True
 
-    @staticmethod
-    def _check_node_clash(node: _Node):
+    def _check_node_clash(self, node: _Node):
+        kind, neg = self.table.kind, self.table.neg
         label = node.label
         for c, deps in label.items():
-            if isinstance(c, Bot):
+            if kind[c] is Not and neg[c] in label:
+                raise _Clash(deps | label[neg[c]])
+            if kind[c] is Bot:
                 raise _Clash(deps)
-            if isinstance(c, Not):
-                other = label.get(c.sub)
-                if other is not None:
-                    raise _Clash(deps | other)
 
     def _merge(self, state: _State, source: int, target: int, trigger):
         """Merge tree node ``source`` into ``target``; every transferred
@@ -319,7 +367,7 @@ class _Tableau:
         del state.nodes[source]
 
     def _apply_functional(self, state: _State) -> bool:
-        for role in self.functional:
+        for role in self.table.functional:
             for x in sorted(state.nodes):
                 node = state.nodes[x]
                 if len(node.children) + (node.parent is not None) < 2 \
@@ -343,34 +391,22 @@ class _Tableau:
                 return True
         return False
 
-    @staticmethod
-    def _dead_literal(c, label) -> Optional[frozenset]:
-        """Deps of the contradiction when the concept clashes with a
-        present literal, else None."""
-        if isinstance(c, Atom):
-            deps = label.get(Not(c))
-            return deps
-        if isinstance(c, Not):
-            return label.get(c.sub)
-        if isinstance(c, Bot):
-            return _NO_DEPS
-        return None
-
     def _saturate(self, state: _State, dirty=None):
         """Conjunction, value restriction, literal unit propagation and
         functional merging to fixpoint; raises _Clash on contradiction.
 
         ``dirty`` seeds the worklist; None reprocesses the whole graph.
         """
-        from collections import deque
+        kind, parts, neg = self.table.kind, self.table.parts, self.table.neg
+        nodes = state.nodes
         if dirty is None:
-            queue = deque(sorted(state.nodes))
+            queue = deque(sorted(nodes))
         else:
-            queue = deque(x for x in dirty if x in state.nodes)
+            queue = deque(x for x in dirty if x in nodes)
         queued = set(queue)
 
         def enqueue(x):
-            if x not in queued and x in state.nodes:
+            if x not in queued and x in nodes:
                 queue.append(x)
                 queued.add(x)
 
@@ -378,55 +414,56 @@ class _Tableau:
             while queue:
                 x = queue.popleft()
                 queued.discard(x)
-                if x not in state.nodes:
+                if x not in nodes:
                     continue
                 changed_self = False
-                for c in list(state.nodes[x].label):
-                    label = state.nodes[x].label  # own() may have replaced it
-                    deps = label[c]
-                    if isinstance(c, And):
-                        if self._add(state, x, c.left, deps):
-                            changed_self = True
-                        if self._add(state, x, c.right, deps):
-                            changed_self = True
-                    elif isinstance(c, Or):
-                        if c.left in label or c.right in label:
+                for c in list(nodes[x].label):
+                    label = nodes[x].label  # own() may have replaced it
+                    k, deps = kind[c], label[c]
+                    if k is And:
+                        for part in parts[c]:
+                            changed_self |= self._add(state, x, part, deps)
+                    elif k is Or:
+                        left, right = parts[c]
+                        if left in label or right in label:
                             continue
-                        dead = self._dead_literal(c.left, label)
+                        # a disjunct whose complement is present is dead
+                        dead = label.get(neg[left])
                         if dead is not None:
-                            if self._add(state, x, c.right, deps | dead):
-                                changed_self = True
+                            changed_self |= self._add(state, x, right, deps | dead)
                             continue
-                        dead = self._dead_literal(c.right, label)
+                        dead = label.get(neg[right])
                         if dead is not None:
-                            if self._add(state, x, c.left, deps | dead):
-                                changed_self = True
-                    elif isinstance(c, Forall):
-                        for y, edeps in self.neighbours(state, x, c.role):
-                            if self._add(state, y, c.filler, deps | edeps):
+                            changed_self |= self._add(state, x, left, deps | dead)
+                    elif k is Forall:
+                        filler, role = parts[c]
+                        for y, edeps in self.neighbours(state, x, role):
+                            if self._add(state, y, filler, deps | edeps):
                                 enqueue(y)
-                self._check_node_clash(state.nodes[x])
+                self._check_node_clash(nodes[x])
                 if changed_self:
                     enqueue(x)
             merged = False
             while self._apply_functional(state):
                 merged = True
-                for node in state.nodes.values():
+                for node in nodes.values():
                     self._check_node_clash(node)
             if not merged:
                 return
-            for x in sorted(state.nodes):
+            for x in sorted(nodes):
                 enqueue(x)
 
     def _find_or(self, state: _State):
+        kind, parts, rank = self.table.kind, self.table.parts, self.table.rank
         for x in sorted(state.nodes):
             node = state.nodes[x]
             label = node.label
             size, open_or = node.or_memo
             if size != len(label):
-                open_or = min((c for c in label if isinstance(c, Or)
-                               and c.left not in label and c.right not in label),
-                              key=concept_sort_key, default=None)
+                keys = label.keys()
+                open_or = min((c for c in label if kind[c] is Or
+                               and keys.isdisjoint(parts[c])),
+                              key=rank.__getitem__, default=None)
                 # a cache of the keys only, so shared nodes may hold it too
                 node.or_memo = (len(label), open_or)
             # blocked nodes never appear in the constructed model, so
@@ -438,27 +475,29 @@ class _Tableau:
     def _apply_exists(self, state: _State):
         """Satisfy one open existential; returns the dirty node set, or
         None when no existential is applicable."""
+        kind, parts, rank = self.table.kind, self.table.parts, self.table.rank
         for x in sorted(state.nodes):
             node = state.nodes[x]
             label = node.label
-            existentials = sorted((c for c in label if isinstance(c, Exists)),
-                                  key=concept_sort_key)
+            existentials = sorted((c for c in label if kind[c] is Exists),
+                                  key=rank.__getitem__)
             blocked = None
             for c in existentials:
-                ns = self.neighbours(state, x, c.role)
-                if any(c.filler in state.nodes[y].label for y, _d in ns):
+                filler, role = parts[c]
+                ns = self.neighbours(state, x, role)
+                if any(filler in state.nodes[y].label for y, _d in ns):
                     continue
                 deps = label[c]
-                if c.role in self.functional and ns:
+                if role in self.table.functional and ns:
                     y, edeps = ns[0]
-                    if self._add(state, y, c.filler, deps | edeps):
+                    if self._add(state, y, filler, deps | edeps):
                         return {y}
                     continue
                 if blocked is None:
                     blocked = self.blocked(state, x)
                 if blocked:
                     continue
-                child = self._new_child(state, x, c.role, c.filler, deps)
+                child = self._new_child(state, x, role, filler, deps)
                 return {x, child}
         return None
 
@@ -468,6 +507,7 @@ class _Tableau:
         """True iff a complete clash-free completion graph exists."""
         # open decisions: (right-branch state, node, disjunction, decision,
         # base deps, deps of the failed left branch or None while in it)
+        parts = self.table.parts
         stack = []
         dirty = None
         while True:
@@ -490,7 +530,7 @@ class _Tableau:
                     elif decision in deps:
                         stack.append((None, x, c, decision, base, deps))
                         state, dirty = alt, {x}
-                        state.own(x).label[c.right] = base | {decision}
+                        state.own(x).label[parts[c][1]] = base | {decision}
                         break
                     # else the clash does not involve this choice: the
                     # right branch would fail for the same reason
@@ -501,7 +541,7 @@ class _Tableau:
             base = state.nodes[x].label[c]
             stack.append((state.copy(), x, c, decision, base, None))
             dirty = {x}
-            state.own(x).label[c.left] = base | {decision}
+            state.own(x).label[parts[c][0]] = base | {decision}
 
 
 # ---------------------------------------------------------------------------

@@ -53,32 +53,80 @@ def test_library_imports_only_what_it_uses():
     assert not found
 
 
-MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict"})
+MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
+                           "deque", "WeakKeyDictionary", "WeakValueDictionary"})
+CACHES = frozenset({"cache", "lru_cache"})
+
+
+def _callee(f):
+    """The name a call or decorator calls: ``lru_cache`` for both
+    ``functools.lru_cache(maxsize=8)`` and ``lru_cache``."""
+    if isinstance(f, ast.Call):
+        f = f.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
 
 def _is_mutable_container(value):
     if isinstance(value, (ast.Dict, ast.List, ast.Set,
                           ast.DictComp, ast.ListComp, ast.SetComp)):
         return True
-    if isinstance(value, ast.Call):
-        f = value.func
-        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-        return name in MUTABLE_CALLS
-    return False
+    return isinstance(value, ast.Call) and _callee(value.func) in MUTABLE_CALLS | CACHES
+
+
+def _process_global_state(tree):
+    """Global statements, module-level mutable containers and caches, and
+    cache decorators on module-level functions and their classes' methods."""
+    found = [f"{node.lineno}: global" for node in ast.walk(tree)
+             if isinstance(node, ast.Global)]
+    found += [f"{node.lineno}: mutable container or cache" for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              and node.value is not None and _is_mutable_container(node.value)]
+    defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defs += [m for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body
+             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found += [f"{node.lineno}: cache decorator" for node in defs
+              if any(_callee(d) in CACHES for d in node.decorator_list)]
+    return found
 
 
 def test_library_keeps_no_process_global_state():
     # state shared by every caller in the process lets one call (or test)
-    # change the next: no global statement, no module-level mutable container
+    # change the next: no global statement, no module-level mutable
+    # container or cache
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), str(path))
-        found += [f"{path.name}:{node.lineno}: global" for node in ast.walk(tree)
-                  if isinstance(node, ast.Global)]
-        found += [f"{path.name}:{node.lineno}: mutable container" for node in tree.body
-                  if isinstance(node, (ast.Assign, ast.AnnAssign))
-                  and node.value is not None and _is_mutable_container(node.value)]
+        found += [f"{path.name}:{f}" for f in _process_global_state(tree)]
     assert not found
+
+
+def test_global_state_check_flags_each_form():
+    source = """
+import collections, functools, weakref
+from collections import Counter, OrderedDict, deque
+from functools import cache, lru_cache
+a = OrderedDict()
+b = Counter()
+c = deque()
+d = weakref.WeakKeyDictionary()
+e = weakref.WeakValueDictionary()
+f = collections.defaultdict(list)
+g = lru_cache(maxsize=None)(len)
+@cache
+def h(x): return x
+@functools.lru_cache(maxsize=8)
+def i(x): return x
+class J:
+    @lru_cache
+    def k(self): return self
+def m():
+    global a
+    n = {}
+    return n
+"""
+    found = _process_global_state(ast.parse(source))
+    # a function is flagged at its def line, after its decorators
+    assert [int(f.split(":")[0]) for f in found] == [20, 5, 6, 7, 8, 9, 10, 11, 13, 15, 18]
 
 
 # Public library names that no code outside the tests calls, kept on purpose.
