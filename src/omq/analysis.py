@@ -81,20 +81,24 @@ class UnravelingViolation:
 
 def _type_structure(tbox: TBox, concepts: tuple, structures: dict) -> tuple:
     """The type structure over the union of closure(T, C) for the C in
-    ``concepts``, and per C its points whose type lacks C.  ``structures``
-    memoizes the structure under that union, which queries with one
-    closure share, and the answer under ``concepts``."""
+    ``concepts``, and per C the mask of its points whose type lacks C.
+    ``structures`` memoizes each closure under its C, the structure under
+    their union, which queries with one closure share, and the answer
+    under ``concepts``."""
     if tbox.functional:
         raise ValueError("the type structure decides ALC/ALCI TBoxes only")
     if concepts not in structures:
-        key = frozenset().union(*(closure(tbox, c) for c in concepts))
+        structures.update((c, closure(tbox, c)) for c in concepts if c not in structures)
+        key = frozenset().union(*(structures[c] for c in concepts))
         if key not in structures:
             q = conjoin(concepts)
             types = compute_types(tbox, q)
             structures[key] = succ_relation(tbox, q, types), types
         structure, types = structures[key]
+        position = structure.numbering.position
         structures[concepts] = structure, tuple(
-            frozenset(f"t{i}" for i, t in enumerate(types) if c not in t) for c in concepts)
+            sum(1 << position[f"t{i}"] for i, t in enumerate(types) if c not in t)
+            for c in concepts)
     return structures[concepts]
 
 
@@ -349,7 +353,7 @@ def classify(tbox: TBox, budget: Budget = Budget()) -> ClassificationReport:
         return ClassificationReport(dl, depth_one, True, materializable, ut,
                                     PTIME_DEFINITIVE, tuple(caveats), budget)
 
-    structures = {}     # type structures by union closure, for both refuters
+    structures = {}     # closures, and type structures by union closure, for both refuters
     mat_result = _refute_disjunction_property(tbox, budget, structures)
     if mat_result.status == "refuted":
         materializable = ("refuted", mat_result.witness)

@@ -6,8 +6,8 @@ Homomorphisms and unraveling entailment both run on the propagation
 kernel of the semantics module (``hom_problem``, ``arc_consistency``,
 ``find_homomorphism``).  A template is an ``Interpretation`` plus its
 signature, built once by ``template_from_omq``; the kernel reads the
-interpretation's index (``labels``, ``successors``), built on first use
-and then shared by every call on the same template.
+interpretation's ``numbering``, built on first use and then shared by
+every call on the same template.
 
 The central contract is homomorphism duality: for an ALC/ALCI TBox and a
 Boolean tree query, the certain answer holds exactly when the data's

@@ -2,13 +2,13 @@
 evaluation, model checking, query matching and the homomorphism solver.
 
 One propagation kernel serves every mapping question here and in the csp
-module: an ``Interpretation`` indexes itself once (``labels`` and
-``successors``, built on first use and shared by every later call),
-``hom_problem`` states a homomorphism question as candidate sets and
-arcs, ``arc_consistency`` refines candidate sets to their greatest
-arc-consistent subsets (AC-3), and ``solve`` searches while keeping arc
-consistency.  Homomorphisms, simulations and CQ matches all run on it,
-and so does type elimination in the types module.
+module: an ``Interpretation`` numbers its domain once (``numbering``,
+built on first use and shared by every later call), ``hom_problem``
+states a homomorphism question as candidate masks (ints) over those
+positions and arcs, ``arc_consistency`` refines the masks to their
+greatest arc-consistent subsets (AC-3, bitwise), and ``solve`` searches
+while keeping arc consistency.  Homomorphisms, simulations and CQ matches
+all run on it, and so does type elimination in the types module.
 
 Domain elements are arbitrary hashable values; named individuals are the
 subset of the domain interpreted under the standard name assumption (the
@@ -20,6 +20,7 @@ their working state per call, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -36,6 +37,10 @@ def _ekey(e):
     if isinstance(e, tuple):
         return (1, tuple(str(x) for x in e))
     return (0, str(e))
+
+
+# elements by position, position by element, masks by concept name and by role
+Numbering = namedtuple("Numbering", "elements position concepts moves")
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,10 @@ class Interpretation:
         return self.concept_ext.get(name, frozenset())
 
     @cached_property
-    def labels(self) -> dict:
-        """Each domain element's set of concept names.  Like ``successors``,
-        built on first use and shared by every caller, who only reads it."""
-        labels = {d: set() for d in self.domain}
-        for name, ds in self.concept_ext.items():
-            for d in ds & self.domain:
-                labels[d].add(name)
-        return {d: frozenset(names) for d, names in labels.items()}
-
-    @cached_property
     def successors(self) -> dict:
         """Per role name and its inverse, each element's set of
-        role-successors; an inverse role walks the edges backwards."""
+        role-successors; an inverse role walks the edges backwards.  Like
+        ``numbering``, built on first use and only read by its callers."""
         index = {}
         for name, pairs in self.role_ext.items():
             forward, backward = {}, {}
@@ -97,6 +93,28 @@ class Interpretation:
             for role, moves in ((Role(name), forward), (Role(name, True), backward)):
                 index[role] = {d: frozenset(es) for d, es in moves.items()}
         return index
+
+    @cached_property
+    def numbering(self) -> Numbering:
+        """The domain numbered in ``_ekey`` order, with each concept name's
+        mask and, per role name and its inverse, each position's mask of
+        role-successors: the target side of ``hom_problem``."""
+        # ``_ekey`` order: elements other than tuples compare by str alone
+        elements = (*sorted((d for d in self.domain if not isinstance(d, tuple)), key=str),
+                    *sorted((d for d in self.domain if isinstance(d, tuple)), key=_ekey))
+        position = {d: k for k, d in enumerate(elements)}
+        concepts = {name: sum(1 << position[d] for d in ds & self.domain)
+                    for name, ds in self.concept_ext.items()}
+        moves = {}
+        for name, pairs in self.role_ext.items():
+            forward, backward = [0] * len(elements), [0] * len(elements)
+            for a, b in pairs:
+                i, j = position.get(a), position.get(b)
+                if i is not None and j is not None:
+                    forward[i] |= 1 << j
+                    backward[j] |= 1 << i
+            moves[Role(name)], moves[Role(name, True)] = forward, backward
+        return Numbering(elements, position, concepts, moves)
 
     def role(self, role: Role) -> frozenset:
         pairs = self.role_ext.get(role.name, frozenset())
@@ -179,7 +197,7 @@ def _match_cq(i: Interpretation, q: CQ, binding: dict) -> bool:
         rext.setdefault(name, set()).add((x, y))
     cand, arcs = hom_problem(Interpretation.of(q.variables(), (), cext, rext), i)
     for v, d in binding.items():
-        cand[v] = cand[v] & {d}
+        cand[v] &= 1 << i.numbering.position[d] if d in i.domain else 0
     return solve(cand, arcs) is not None
 
 
@@ -228,26 +246,27 @@ def match_query(i: Interpretation, q: Query, answers: tuple) -> bool:
 # The propagation kernel: homomorphisms and simulations
 # ---------------------------------------------------------------------------
 
-_NO_MOVES = frozenset()
-
-
 def hom_problem(s: Interpretation, g: Interpretation, preserve: Iterable = ()) -> tuple:
-    """The homomorphism problem from S to G as ``(cand, arcs)`` for
-    ``arc_consistency``: each source element may take the target elements
-    that carry its concept names, an element of ``preserve`` only itself,
-    and every source edge gives an arc in both directions.  Its greatest
-    arc-consistent refinement is the greatest i-simulation."""
-    cand = {d: g.domain.intersection(*map(g.concept, need))
-            for d, need in s.labels.items()}
+    """The homomorphism problem from S to G as ``(cand, arcs)`` over the
+    positions of ``g.numbering``: each source element may take the target
+    elements that carry its concept names, one of ``preserve`` only itself.
+    An edge r(a, b) gives a the arc ``(b, rows)``, row e the mask of e's
+    r-predecessors, and b the arc ``(a, rows)`` of the r-successors.  Its
+    greatest arc-consistent refinement is the greatest i-simulation."""
+    index = g.numbering
+    cand = dict.fromkeys(s.domain, (1 << len(index.elements)) - 1)
+    for name, ds in s.concept_ext.items():
+        for d in ds & s.domain:
+            cand[d] &= index.concepts.get(name, 0)
     for d in preserve:
-        cand[d] = cand[d] & {d}
+        cand[d] &= 1 << index.position[d] if d in g.domain else 0
+    none = [0] * len(index.elements)
     arcs = {d: [] for d in s.domain}
     for name, pairs in s.role_ext.items():
-        forward = g.successors.get(Role(name), {})
-        backward = g.successors.get(Role(name, True), {})
+        forward, backward = (index.moves.get(r, none) for r in (Role(name), Role(name, True)))
         for a, b in pairs:
-            arcs[a].append((b, forward))
-            arcs[b].append((a, backward))
+            arcs[a].append((b, backward))
+            arcs[b].append((a, forward))
     return cand, arcs
 
 
@@ -255,28 +274,36 @@ def _watchers(arcs: dict) -> dict:
     """For each variable, the variables that have an arc into it."""
     watch = {}
     for x, out in arcs.items():
-        for y, _moves in out:
+        for y, _rows in out:
             watch.setdefault(y, set()).add(x)
     return watch
 
 
-def _propagate(cand: dict, arcs: dict, watch: dict, queue) -> dict:
+def _propagate(cand: dict, arcs: dict, watch: dict, queue, supports: dict) -> dict:
     """AC-3 worklist: revise the variables in ``queue`` and, whenever a
-    variable loses values, every variable watching it.  Refines ``cand``
-    in place by replacing its sets, never mutating them, so that a shallow
-    copy of ``cand`` is a snapshot."""
+    variable loses values, every variable watching it.  Revising x along
+    ``(y, rows)`` keeps the union of ``rows[e]`` over y's candidates e,
+    memoized in ``supports`` under ``(id(rows), mask)``.  Refines ``cand`` in place."""
     queue = list(queue)
     queued = set(queue)
     while queue:
         x = queue.pop()
         queued.discard(x)
         old = keep = cand[x]
-        for y, moves in arcs[x]:
-            ys = cand[y]
-            keep = {d for d in keep if not moves.get(d, _NO_MOVES).isdisjoint(ys)}
+        for y, rows in arcs[x]:
+            key = (id(rows), cand[y])
+            union = supports.get(key)
+            if union is None:
+                union, rest = 0, cand[y]
+                while rest:
+                    low = rest & -rest
+                    union |= rows[low.bit_length() - 1]
+                    rest ^= low
+                supports[key] = union
+            keep &= union
             if not keep:
                 break
-        if len(keep) < len(old):
+        if keep != old:
             cand[x] = keep
             for w in watch.get(x, ()):
                 if w not in queued:
@@ -286,31 +313,32 @@ def _propagate(cand: dict, arcs: dict, watch: dict, queue) -> dict:
 
 
 def arc_consistency(cand: dict, arcs: dict) -> dict:
-    """The greatest refinement of the candidate sets ``cand`` (variable ->
-    set of values) in which each value d of a variable x has, for each arc
-    ``(y, moves)`` in ``arcs[x]``, a candidate of y in ``moves[d]``
-    (AC-3, Mackworth 1977).  The given sets are left unchanged."""
-    return _propagate(dict(cand), arcs, _watchers(arcs), cand)
+    """The greatest refinement of the candidate masks ``cand`` (variable ->
+    int mask of value positions) in which each value d of a variable x has,
+    for each arc ``(y, rows)`` in ``arcs[x]``, a candidate e of y with d in
+    ``rows[e]`` (AC-3, Mackworth 1977).  The given dict is left unchanged."""
+    return _propagate(dict(cand), arcs, _watchers(arcs), cand, {})
 
 
-def _branches(cand: dict, arcs: dict, watch: dict, x):
-    """The children of a search node: x fixed to each of its values."""
-    for d in sorted(cand[x], key=_ekey):
-        trial = dict(cand)
-        trial[x] = {d}
-        yield _propagate(trial, arcs, watch, watch.get(x, ()))
+def _branches(cand: dict, arcs: dict, watch: dict, x, supports: dict):
+    """The children of a search node: x fixed to each value, lowest first."""
+    for k in range(cand[x].bit_length()):
+        if cand[x] >> k & 1:
+            yield _propagate({**cand, x: 1 << k}, arcs, watch, watch.get(x, ()), supports)
 
 
 def solve(cand: dict, arcs: dict) -> Optional[dict]:
-    """One candidate per variable such that every arc holds, or None.
+    """One value position per variable such that every arc holds, or None.
 
     Depth-first search that keeps arc consistency: it branches on the open
     variable with the fewest candidates, ties broken by ``_ekey``, and
-    tries its values in ``_ekey`` order.  Once every set is a singleton,
-    arc consistency makes the values a solution.
+    tries its values lowest position first.  Once every mask is a single
+    bit, arc consistency makes the values a solution.
     """
     watch = _watchers(arcs)
-    stack = [iter([_propagate(dict(cand), arcs, watch, cand)])]
+    supports = {}
+    rank = {x: k for k, x in enumerate(sorted(cand, key=_ekey))}
+    stack = [iter([_propagate(dict(cand), arcs, watch, cand, supports)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -318,26 +346,18 @@ def solve(cand: dict, arcs: dict) -> Optional[dict]:
             continue
         if not all(node.values()):
             continue
-        open_vars = [x for x, values in node.items() if len(values) > 1]
+        open_vars = [x for x, values in node.items() if values & (values - 1)]
         if not open_vars:
-            return {x: next(iter(values)) for x, values in node.items()}
-        x = min(open_vars, key=lambda v: (len(node[v]), _ekey(v)))
-        stack.append(_branches(node, arcs, watch, x))
+            return {x: values.bit_length() - 1 for x, values in node.items()}
+        x = min(open_vars, key=lambda v: (node[v].bit_count(), rank[v]))
+        stack.append(_branches(node, arcs, watch, x, supports))
     return None
 
 
 def _hom_ok(s: Interpretation, g: Interpretation, h: dict) -> bool:
-    for name, ds in s.concept_ext.items():
-        target = g.concept(name)
-        for d in ds:
-            if h[d] not in target:
-                return False
-    for name, pairs in s.role_ext.items():
-        target = g.role_ext.get(name, frozenset())
-        for a, b in pairs:
-            if (h[a], h[b]) not in target:
-                return False
-    return True
+    return (all(h[d] in g.concept(name) for name, ds in s.concept_ext.items() for d in ds)
+            and all((h[a], h[b]) in g.role_ext.get(name, ())
+                    for name, pairs in s.role_ext.items() for a, b in pairs))
 
 
 def find_homomorphism(s: Interpretation, g: Interpretation,
@@ -345,12 +365,13 @@ def find_homomorphism(s: Interpretation, g: Interpretation,
     """A map preserving concept memberships and role edges, fixing
     ``preserve`` pointwise; None when provably absent.
 
-    ``solve`` on ``hom_problem``.
+    ``solve`` on ``hom_problem``, read back through ``g.numbering``.
     """
     preserve = set(preserve)
     if not preserve <= s.named:
         raise ValueError("preserve must be a subset of the source's named individuals")
-    h = solve(*hom_problem(s, g, preserve))
+    found = solve(*hom_problem(s, g, preserve))
+    h = None if found is None else {d: g.numbering.elements[k] for d, k in found.items()}
     if h is not None and not _hom_ok(s, g, h):
         raise RuntimeError("the homomorphism search returned a map that "
                            "is not a homomorphism")

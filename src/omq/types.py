@@ -13,9 +13,9 @@ compatible along r when t' holds every r-requirement of t and t every
 inverse-r requirement of t'.  The index keeps one bit set of types per
 closure member and, per role, each type's bit set of compatible
 successors.  Without functionality assertions, type elimination is the
-greatest fixpoint of arc consistency over the index and compatibility is
-the successor relation; with functional roles, the tableau confirms each
-candidate type and each compatible pair instead.
+greatest fixpoint of arc consistency on the index's own bit sets and
+compatibility is the successor relation; with functional roles, the
+tableau confirms each candidate type and each compatible pair instead.
 """
 
 from __future__ import annotations
@@ -148,29 +148,33 @@ def _types(cl, models: TBox, budget: int) -> tuple:
     Without functional roles this is type elimination: one variable over
     the candidates and one self-arc per obligation (role, filler), a
     positive existential or a negated universal of some type.  The arc's
-    moves send a type with that obligation to its compatible successors
-    holding the filler, and a type without it to every candidate.
+    row for a type j is the mask of the types it supports: every type
+    without the obligation and, when j holds the filler, the types with
+    it that are compatible with j along the role.
     """
     candidates = _candidates(models, cl)
     if models.functional:
         return tuple(t for t in candidates
                      if satisfiable(conjoin(sorted(t, key=concept_sort_key)), models, budget))
     holders, compat = _index(candidates, closure_roles(cl))
-    everyone = frozenset(range(len(candidates)))
-    witnesses = {}      # obligation -> the witnesses of each type having it
+    having = {}         # obligation -> bit set of the types having it
     for i, t in enumerate(candidates):
         for c in t:
             if isinstance(c, Exists):
-                role, need = c.role, c.filler
+                need = (c.role, c.filler)
             elif isinstance(c, Not) and isinstance(c.sub, Forall):
-                role, need = c.sub.role, _negate(c.sub.filler)
+                need = (c.sub.role, _negate(c.sub.filler))
             else:
                 continue
-            witnesses.setdefault((role, need), {})[i] = frozenset(
-                _bits(compat[role][i] & holders.get(need, 0)))
-    arcs = [(0, dict.fromkeys(everyone, everyone) | moves) for moves in witnesses.values()]
+            having[need] = having.get(need, 0) | 1 << i
+    everyone = (1 << len(candidates)) - 1
+    arcs = []
+    for (role, filler), haves in having.items():
+        back, fill = compat[role.inverse()], holders.get(filler, 0)
+        arcs.append((0, [everyone & ~haves | (back[j] & haves if fill >> j & 1 else 0)
+                         for j in range(len(candidates))]))
     alive = arc_consistency({0: everyone}, {0: arcs})
-    return tuple(candidates[i] for i in sorted(alive[0]))
+    return tuple(candidates[i] for i in _bits(alive[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 from omq.chase import Completion, _Structure, normalize_horn
 from omq.semantics import (
-    Interpretation, arc_consistency, eval_concept, hom_problem, is_model, match_query,
+    Interpretation, _ekey, _watchers, arc_consistency, eval_concept, hom_problem, is_model,
+    match_query,
 )
 from omq.syntax import (
     ABox, And, Atom, Bot, CQ, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not,
@@ -171,6 +172,91 @@ def unravel_abox(abox: ABox, depth: int) -> UnravelingSlice:
 
 
 # ---------------------------------------------------------------------------
+# The reference propagation kernel: candidate sets revised value by value
+# ---------------------------------------------------------------------------
+
+def decode(fixpoint: dict, target: Interpretation) -> dict:
+    """A fixpoint of ``semantics.arc_consistency`` over the positions of
+    ``target.numbering``, read back as frozensets of target elements."""
+    elements = target.numbering.elements
+    return {x: frozenset(elements[k] for k in range(mask.bit_length()) if mask >> k & 1)
+            for x, mask in fixpoint.items()}
+
+
+def reference_hom_problem(s: Interpretation, g: Interpretation, preserve=()) -> tuple:
+    """``semantics.hom_problem`` over frozensets: each source element's
+    candidate set, and per source edge an arc each way whose moves map a
+    value to its role-successors (or predecessors) in the target."""
+    cand = {d: g.domain.intersection(*(g.concept(n) for n, ds in s.concept_ext.items()
+                                       if d in ds))
+            for d in s.domain}
+    for d in preserve:
+        cand[d] = cand[d] & {d}
+    arcs = {d: [] for d in s.domain}
+    for name, pairs in s.role_ext.items():
+        forward = g.successors.get(Role(name), {})
+        backward = g.successors.get(Role(name, True), {})
+        for a, b in pairs:
+            arcs[a].append((b, forward))
+            arcs[b].append((a, backward))
+    return cand, arcs
+
+
+def _reference_propagate(cand: dict, arcs: dict, watch: dict, queue) -> dict:
+    """AC-3 that keeps a value d of x while, for each arc ``(y, moves)``,
+    ``moves[d]`` meets y's candidates; replaces sets, never mutates them."""
+    queue = list(queue)
+    queued = set(queue)
+    while queue:
+        x = queue.pop()
+        queued.discard(x)
+        old = keep = cand[x]
+        for y, moves in arcs[x]:
+            ys = cand[y]
+            keep = {d for d in keep if not moves.get(d, frozenset()).isdisjoint(ys)}
+            if not keep:
+                break
+        if len(keep) < len(old):
+            cand[x] = keep
+            for w in watch.get(x, ()):
+                if w not in queued:
+                    queued.add(w)
+                    queue.append(w)
+    return cand
+
+
+def reference_arc_consistency(cand: dict, arcs: dict) -> dict:
+    return _reference_propagate(dict(cand), arcs, _watchers(arcs), cand)
+
+
+def reference_solve(cand: dict, arcs: dict):
+    """The search of ``semantics.solve`` over sets: fewest candidates
+    first, ties and values in ``_ekey`` order; a map of values or None."""
+    watch = _watchers(arcs)
+    stack = [iter([_reference_propagate(dict(cand), arcs, watch, cand)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        if not all(node.values()):
+            continue
+        open_vars = [x for x, values in node.items() if len(values) > 1]
+        if not open_vars:
+            return {x: next(iter(values)) for x, values in node.items()}
+        x = min(open_vars, key=lambda v: (len(node[v]), _ekey(v)))
+        stack.append(_reference_branches(node, arcs, watch, x))
+    return None
+
+
+def _reference_branches(cand: dict, arcs: dict, watch: dict, x):
+    for d in sorted(cand[x], key=_ekey):
+        trial = dict(cand)
+        trial[x] = {d}
+        yield _reference_propagate(trial, arcs, watch, watch.get(x, ()))
+
+
+# ---------------------------------------------------------------------------
 # Types, ABox isomorphism and tree-shaped CQs
 # ---------------------------------------------------------------------------
 
@@ -274,7 +360,7 @@ def type_structure_answers(tbox: TBox, q, abox: ABox) -> frozenset:
         {n: {a for m, a in abox.concept_assertions if m == n} for n in structure.concept_ext},
         {n: {(a, b) for m, a, b in abox.role_assertions if m == n}
          for n in structure.role_ext})
-    cand = arc_consistency(*hom_problem(data, structure))
+    cand = decode(arc_consistency(*hom_problem(data, structure)), structure)
     whole = Interpretation.from_abox(abox).successors
     if not all(cand.values()) or any(len(ys) > 1 for role in tbox.functional
                                      for ys in whole.get(role, {}).values()):

@@ -7,7 +7,9 @@ from omq.syntax import (
     ABox, And, Atom, Bot, ELIQ, Exists, Forall, Not, Or, Role, TBox, Top,
     concept_depth, is_depth_one, parse_abox, parse_tbox,
 )
-from omq.semantics import Interpretation, arc_consistency, hom_problem, is_model
+from omq.semantics import (
+    Interpretation, arc_consistency, find_homomorphism, hom_problem, is_model,
+)
 from omq.tableau import abox_consistent
 from omq.types import entails_eliq
 from omq.csp import (
@@ -17,13 +19,16 @@ from omq.csp import (
     tbox_from_template, template_entails_marker, template_from_omq,
     unraveling_entails,
 )
-from omq.analysis import gen_kcolor_tbox
+from omq.analysis import _escape_test, _type_structure, gen_kcolor_tbox
 from omq.chase import horn_entails_eliq
 
 from genutil import (
     gen_cycle_abox, rand_abox, rand_eli_concept, rand_horn_tbox, rand_tbox,
 )
-from oracles import abox_isomorphic, unravel_abox
+from oracles import (
+    abox_isomorphic, decode, reference_arc_consistency, reference_hom_problem,
+    reference_solve, unravel_abox,
+)
 
 A, B = Atom("A"), Atom("B")
 r = Role("r")
@@ -62,8 +67,9 @@ def brute_hom_exists(abox, template):
 def arc_consistent(abox, template):
     """Plain arc consistency of the homomorphism problem: False means
     provably no homomorphism; True is only a maybe on cyclic inputs."""
-    problem = hom_problem(Interpretation.from_abox(abox), template.interpretation())
-    return all(arc_consistency(*problem).values())
+    target = template.interpretation()
+    problem = hom_problem(Interpretation.from_abox(abox), target)
+    return all(decode(arc_consistency(*problem), target).values())
 
 
 def brute_colorable(abox, k):
@@ -241,7 +247,45 @@ def test_template_index_is_shared_and_unchanged_by_calls():
                 (csp_hom(restricted, template_from_omq(t, q)) is None)
         fresh = template_from_omq(t, q).interpretation()
         used = shared.interpretation()
-        assert (used.labels, used.successors) == (fresh.labels, fresh.successors)
+        assert used.numbering is used.numbering
+        assert (used.successors, used.numbering) == (fresh.successors, fresh.numbering)
+        # the escape tests of classify read the type structure's numbering
+        structure, avoids = _type_structure(t, (q.concept,), {})
+        numbering = structure.numbering
+        for _k in range(4):
+            a = rand_abox(rng, n_individuals=3, n_assertions=5, roles=("r", "s"))
+            escapes = _escape_test(Interpretation.from_abox(restrict_abox(a, shared.signature)))
+            for ind in sorted(restrict_abox(a, shared.signature).individuals()):
+                escapes((structure, avoids), (ind,))
+        assert structure.numbering is numbering
+        assert numbering == Interpretation(structure.domain, structure.named,
+                                           structure.concept_ext, structure.role_ext).numbering
+
+
+@pytest.mark.parametrize("shape,sizes", [("cycle", (21, 33, 45, 57, 69, 81)),
+                                         ("path", (20, 30, 40))])
+def test_kernel_matches_reference_kernel_on_kcolor_shapes(shape, sizes):
+    # the CSP route of k-colouring questions: symmetric cycles and paths,
+    # uncoloured or with the asked node and a neighbour both coloured A1
+    tbox, m = gen_kcolor_tbox(2), Atom("M")
+    templates = {}
+    for n in sizes:
+        last = n if shape == "cycle" else n - 1
+        roles = frozenset(("r", f"a{a}", f"a{b}") for k in range(last)
+                          for a, b in ((k, (k + 1) % n), ((k + 1) % n, k)))
+        asked = n // 3
+        for colours in (frozenset(), frozenset({("A1", f"a{asked}"), ("A1", f"a{asked + 1}")})):
+            _, marked, q = booleanize_eliq(tbox, ABox(colours, roles), m, f"a{asked}")
+            if q not in templates:
+                templates[q] = template_from_omq(tbox, q)
+            tmpl = templates[q]
+            src = Interpretation.from_abox(restrict_abox(marked, tmpl.signature))
+            tgt = tmpl.interpretation()
+            assert decode(arc_consistency(*hom_problem(src, tgt)), tgt) == \
+                reference_arc_consistency(*reference_hom_problem(src, tgt))
+            h = find_homomorphism(src, tgt)
+            assert h == reference_solve(*reference_hom_problem(src, tgt))
+            assert (h is None) == bool(colours)
 
 
 # -- booleanize ---------------------------------------------------------------

@@ -15,7 +15,10 @@ from omq.semantics import (
 from genutil import (
     rand_abox, rand_eli_concept, rand_interpretation, rand_peq,
 )
-from oracles import bruteforce_certain_answer, unravel_abox
+from oracles import (
+    bruteforce_certain_answer, decode, reference_arc_consistency, reference_hom_problem,
+    reference_solve, unravel_abox,
+)
 
 A, B = Atom("A"), Atom("B")
 r, s = Role("r"), Role("s")
@@ -185,7 +188,7 @@ def greatest_i_simulation(s, g):
     """The greatest i-simulation from S to G, or None when it misses (a, a)
     for some named a of S: the arc-consistent refinement of the
     homomorphism problem."""
-    sim = arc_consistency(*hom_problem(s, g))
+    sim = decode(arc_consistency(*hom_problem(s, g)), g)
     if not all(a in g.named and a in sim[a] for a in s.named):
         return None
     return frozenset((d, e) for d, es in sim.items() for e in es)
@@ -337,6 +340,53 @@ def test_hom_soundness_peq_random():
                 if match_query(src, q, (a,)):
                     assert match_query(tgt, q, (a,))
     assert checked > 20
+
+
+# -- the kernel against the reference kernel ----------------------------------
+
+def reference_match_cq(i, q, answers):
+    """``match_query`` on a CQ, by the reference kernel."""
+    cext, rext = {}, {}
+    for name, v in q.concept_atoms:
+        cext.setdefault(name, set()).add(v)
+    for name, x, y in q.role_atoms:
+        rext.setdefault(name, set()).add((x, y))
+    cand, arcs = reference_hom_problem(Interpretation.of(q.variables(), (), cext, rext), i)
+    for v, d in zip(q.answer_vars, answers):
+        cand[v] = cand[v] & {d}
+    return reference_solve(cand, arcs) is not None
+
+
+def test_kernel_matches_reference_kernel_on_random_pairs():
+    # elements mix strings, ints and tuples with distinct str keys; domains
+    # may be empty, edges may be self-loops, and half the pairs preserve
+    # some named individuals, present in the target or not
+    rng = random.Random(18)
+    pool = ("d0", "d1", "d2", 3, 4, ("w", 0), ("w", 1))
+
+    def interpretation(n):
+        domain = rng.sample(pool, n)
+        return Interpretation.of(
+            domain, {d for d in domain if rng.random() < 0.5},
+            {c: {d for d in domain if rng.random() < 0.5} for c in ("A", "B")},
+            {r: {(d, e) for d in domain for e in domain if rng.random() < 0.3}
+             for r in ("r", "s")})
+
+    found = outside = 0
+    for k in range(500):
+        src, tgt = interpretation(rng.randint(0, 5)), interpretation(rng.randint(0, 5))
+        preserve = {d for d in src.named if rng.random() < 0.5} if k % 2 else set()
+        assert decode(arc_consistency(*hom_problem(src, tgt, preserve)), tgt) == \
+            reference_arc_consistency(*reference_hom_problem(src, tgt, preserve))
+        h = find_homomorphism(src, tgt, preserve)
+        assert h == reference_solve(*reference_hom_problem(src, tgt, preserve)), (src, tgt)
+        found += h is not None
+        q = eliq_to_cq(ELIQ(rand_eli_concept(rng, depth=2, concepts=("A", "B"),
+                                             roles=("r", "s")), "x"))
+        answer = rng.choice(pool)
+        outside += answer not in tgt.domain
+        assert match_query(tgt, q, (answer,)) == reference_match_cq(tgt, q, (answer,))
+    assert 100 < found < 400 and outside > 100
 
 
 # -- unravel_abox -----------------------------------------------------------
