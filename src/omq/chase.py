@@ -14,7 +14,8 @@ that of a strict ancestor are not expanded (ancestor-label blocking); all
 other rules still reach blocked individuals.  A node's subtree is
 determined by its label, so a blocked individual behaves exactly like the
 root of a copy of its blocker's subtree; matching and model extraction
-follow that redirection.
+follow that redirection.  The TBox is numbered once (``_Table``), labels
+are int masks, and each premise is matched by a matcher compiled once.
 
 An extra clash rule backs the standard name assumption: two distinct
 r-successors of the same individual with func(r) derive bottom, matching
@@ -30,10 +31,11 @@ from typing import Optional
 
 from .syntax import (
     ABox, And, Atom, Bot, Concept, ELIQ, ELQ, Exists, Forall, Implies,
-    Not, Or, Role, TBox, Top, UCQ, concept_depth, concept_sort_key, conjoin,
+    Or, TBox, Top, UCQ, concept_depth, conjoin,
     is_eliu_bot, is_horn_alcfi, print_concept,
 )
 from .semantics import Interpretation, match_query
+from .tableau import ConceptTable
 
 
 class InconclusiveError(RuntimeError):
@@ -47,15 +49,47 @@ def normalize_horn(tbox: TBox) -> Concept:
 
 
 # ---------------------------------------------------------------------------
-# The extended-ABox structure shared by the run and the result
+# The numbered TBox and the extended-ABox structure of the run and result
 # ---------------------------------------------------------------------------
+
+class _Table(ConceptTable):
+    """C_T and bot with their parts, numbered in sort order: a label mask's
+    bits run in that order from low to high.  An Implies' parts are its
+    premise's matcher and its conclusion's id."""
+
+    def __init__(self, tbox: TBox):
+        self.c_t = normalize_horn(tbox)
+        super().__init__({self.c_t, Bot()}, tbox.role_names())
+        self.functional = {self.role_ids[r.name] + r.inverted for r in tbox.functional}
+        self.parts = [(self.matcher(c.left), self.ids[c.right]) if isinstance(c, Implies)
+                      else p for c, p in zip(self.concepts, self.parts)]
+
+    def matcher(self, c: Concept, bottom: bool = False):
+        """The ELIU-bottom concept as (mask, exists, ors), which holds at x if
+        x's label has mask, each (role id, matcher) of exists holds at a role
+        successor, and each tuple of ors has a matcher that holds at x."""
+        if isinstance(c, And):
+            (m, e, o), (m2, e2, o2) = self.matcher(c.left, bottom), self.matcher(c.right, bottom)
+            return m | m2, e + e2, o + o2
+        if isinstance(c, Or):
+            return 0, (), ((self.matcher(c.left, bottom), self.matcher(c.right, bottom)),)
+        if isinstance(c, Exists) and c.role.name in self.role_ids:
+            role = self.role_ids[c.role.name] + c.role.inverted
+            return 0, ((role, self.matcher(c.filler, bottom)),), ()
+        if isinstance(c, Top) or (isinstance(c, Bot) and bottom):
+            return 0, (), ()
+        if isinstance(c, Atom) and c in self.ids:
+            return 1 << self.ids[c], (), ()
+        return 0, (), ((),)     # never (a name outside the table, or bot)
+
 
 class _Structure:
     """Labels, edges and blocking bookkeeping over chase individuals.
 
-    ``origin`` maps each anonymous individual y to (parent, role,
-    concept); two indexes are kept beside it: ``children`` maps x to
-    {(role, concept): y} and ``adj`` maps x to {role: set of successors}.
+    ``labels`` maps each individual to its mask over ``table``, and
+    ``origin`` each anonymous individual y to (parent, Exists id); beside
+    it ``children`` maps x to {Exists id: y} and ``adj`` maps x to {role
+    id: the successors of x, in the order their edges came}.
 
     Blocking compares full concept labels with a strict ancestor.  Without
     functional roles a node's subtree is determined by its label alone;
@@ -64,14 +98,16 @@ class _Structure:
     (the pairwise condition), mirroring the tableau's blocking choice.
     """
 
-    def __init__(self, labels, edges, pair_blocking=False):
-        self.labels = labels   # individual -> set/frozenset of concepts
-        self.origin = {}       # anonymous individual -> (parent, role, concept)
-        self.children = {}     # x -> {(role, concept): y}
+    def __init__(self, table: _Table, labels, edges):
+        self.table = table
+        self.labels = labels   # individual -> int mask
+        self.origin = {}       # anonymous individual -> (parent, Exists id)
+        self.children = {}     # x -> {Exists id: y}
         self.edges = set()     # of (role name, x, y)
-        self.adj = {}          # x -> {role: set of role-successors of x}
+        self.adj = {}          # x -> {role id: list of role-successors of x}
         self.bottom = False
-        self.pair_blocking = pair_blocking
+        self.matchers = {}     # query concept -> its matcher, once the run is over
+        self.pair_blocking = bool(table.functional)
         for e in edges:
             self.add_edge(e)
 
@@ -80,27 +116,27 @@ class _Structure:
         if e in self.edges:
             return False
         n, a, b = e
+        role = self.table.role_ids[n]
         self.edges.add(e)
-        self.adj.setdefault(a, {}).setdefault(Role(n), set()).add(b)
-        self.adj.setdefault(b, {}).setdefault(Role(n, True), set()).add(a)
+        self.adj.setdefault(a, {}).setdefault(role, []).append(b)
+        self.adj.setdefault(b, {}).setdefault(role + 1, []).append(a)
         return True
 
-    def child(self, x, role: Role, concept: Concept, max_depth: int):
-        """x's (role, concept)-child, numbered on first use; None when a
-        new child would lie deeper than max_depth."""
+    def child(self, x, c: int, max_depth: int):
+        """x's child for the Exists with id c, numbered on first use; None past max_depth."""
         kids = self.children.setdefault(x, {})
-        y = kids.get((role, concept))
+        y = kids.get(c)
         if y is None and len(self.path(x)) < max_depth:
-            y = kids[(role, concept)] = len(self.origin)
-            self.origin[y] = (x, role, concept)
-            self.labels[y] = set()
+            y = kids[c] = len(self.origin)
+            self.origin[y] = (x, c)
+            self.labels[y] = 0
         return y
 
-    def successors(self, x, role: Role):
+    def successors(self, x, role: int):
         return self.adj.get(x, {}).get(role, ())
 
     def path(self, x) -> list:
-        """The origin steps (parent, role, concept) from x up to its root."""
+        """The origin steps (parent, Exists id) from x up to its root."""
         steps = []
         while x in self.origin:
             steps.append(self.origin[x])
@@ -111,9 +147,9 @@ class _Structure:
         """The printed name: an anonymous individual is a.r1.C1...rk.Ck."""
         steps = self.path(x)
         parts = [str(steps[-1][0] if steps else x)]
-        for _, role, concept in reversed(steps):
-            c = re.sub(r"[^A-Za-z0-9_]+", "_", print_concept(concept)).strip("_")
-            parts.append(f"{role.name}{'_inv' if role.inverted else ''}.{c}")
+        for ex in (self.table.concepts[c] for _, c in reversed(steps)):
+            f = re.sub(r"[^A-Za-z0-9_]+", "_", print_concept(ex.filler)).strip("_")
+            parts.append(f"{ex.role.name}{'_inv' if ex.role.inverted else ''}.{f}")
         return ".".join(parts)
 
     def blocker_of(self, x):
@@ -123,32 +159,29 @@ class _Structure:
             anc = up[0]
             up = self.origin.get(anc)
             if self.labels[anc] == self.labels[x] and (not self.pair_blocking or (
-                    up is not None and up[1:] == step[1:]
+                    up is not None and up[1] == step[1]
                     and self.labels[up[0]] == self.labels[step[0]])):
                 return anc
         return None
 
-    def match(self, concept: Concept, x) -> bool:
-        """Syntactic match on the virtual completed ABox: a blocked
+    def holds(self, m, x) -> bool:
+        """The matcher m holds at x on the virtual completed ABox: a blocked
         individual also has its blocker's children."""
-        if isinstance(concept, Top):
-            return True
-        if isinstance(concept, Bot):
-            return self.bottom
-        if isinstance(concept, Atom):
-            return concept in self.labels.get(x, frozenset())
-        if isinstance(concept, And):
-            return self.match(concept.left, x) and self.match(concept.right, x)
-        if isinstance(concept, Or):
-            return self.match(concept.left, x) or self.match(concept.right, x)
-        if isinstance(concept, Exists):
-            ys = list(self.successors(x, concept.role))
-            blocker = self.blocker_of(x)
-            if blocker is not None:
-                ys += [y for (role, _), y in self.children.get(blocker, {}).items()
-                       if role == concept.role]
-            return any(self.match(concept.filler, y) for y in ys)
-        raise ValueError(f"not an ELIU-bottom constructor: {type(concept).__name__}")
+        mask, exists, ors = m
+        if self.labels.get(x, 0) & mask != mask:
+            return False
+        for role, sub in exists:
+            if not any(self.holds(sub, y) for y in self.successors(x, role)) and not any(
+                    self.holds(sub, y) for c, y in self.children.get(self.blocker_of(x), {}).items()
+                    if self.table.parts[c][1] == role):
+                return False
+        return not ors or all(any(self.holds(n, x) for n in alts) for alts in ors)
+
+    def match(self, concept: Concept, x) -> bool:
+        """Syntactic match of an ELIU-bottom concept at x."""
+        if concept not in self.matchers:
+            self.matchers[concept] = self.table.matcher(concept, self.bottom)
+        return self.holds(self.matchers[concept], x)
 
 
 @dataclass
@@ -160,7 +193,7 @@ class Completion:
     to the (parent, role, concept) step that made it.
     ``status`` is 'complete' when no rule is applicable (given blocking),
     'budget-exhausted' when depth or assertion caps cut the run short.
-    ``structure`` is the run's own structure over the frozen labels: the
+    ``structure`` is the run's own structure over the label masks: the
     matching and the model extraction read it, and nothing rebuilds it.
     """
     tbox: TBox
@@ -187,24 +220,6 @@ class Completion:
             raise ValueError("syntactic match is defined for ELIU-bottom concepts only")
         return self.structure.match(concept, x)
 
-    def interpretation(self) -> Interpretation:
-        """The canonical interpretation of the (raw) slice; refuses when
-        bottom was derived, as an inconsistent KB has no materialization."""
-        if self.bottom:
-            raise ValueError("inconsistent knowledge base has no canonical model")
-        cext = {}
-        for x, label in self.labels.items():
-            for c in label:
-                if isinstance(c, Atom):
-                    cext.setdefault(c.name, set()).add(x)
-        rext = {}
-        for n, a, b in self.edges:
-            rext.setdefault(n, set()).add((a, b))
-        named = frozenset(self.abox.individuals())
-        return Interpretation(frozenset(self.labels), named,
-                              {k: frozenset(v) for k, v in cext.items()},
-                              {k: frozenset(v) for k, v in rext.items()})
-
     def unrolled_interpretation(self, extra_depth: int) -> Interpretation:
         """Materialize the virtual completed ABox, unrolling blocked loops
         to tree depth (deepest real node + extra_depth).  ABox individuals
@@ -215,11 +230,12 @@ class Completion:
         bases = self.abox.individuals()
         cext = {}
         rext = {}
+        atoms = {m: [c.name for i, c in enumerate(s.table.concepts)   # mask -> names
+                     if m >> i & 1 and isinstance(c, Atom)] for m in set(s.labels.values())}
 
         def add_labels(elem, x):
-            for c in self.labels[x]:
-                if isinstance(c, Atom):
-                    cext.setdefault(c.name, set()).add(elem)
+            for n in atoms[s.labels[x]]:
+                cext.setdefault(n, set()).add(elem)
 
         for a in bases:
             add_labels(a, a)
@@ -235,8 +251,8 @@ class Completion:
             for elem, x in frontier:
                 blocker = s.blocker_of(x)
                 rep = blocker if blocker is not None else x
-                for step, child in s.children.get(rep, {}).items():
-                    role = step[0]
+                for c, child in s.children.get(rep, {}).items():
+                    role = s.table.concepts[c].role
                     celem = len(domain) - len(bases)    # unrolled so far
                     if role.inverted:
                         rext.setdefault(role.name, set()).add((celem, elem))
@@ -278,27 +294,33 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
     give it new successors.  The visits follow the ABox individuals by
     name, then the anonymous ones by number; with an ``order_seed`` each
     round's visits are shuffled, and the Boolean outputs (bottom,
-    entailed queries) are insensitive to that.
+    entailed queries) are insensitive to that.  A Forall or R5 reaches
+    the successors in the order their edges came, the ABox's sorted.
 
     The run stops at ``budget-exhausted`` when a new individual would lie
-    deeper than ``max_depth`` or the assertions exceed
-    ``max_assertions``, which defaults to 20 per ABox assertion and
-    never less than 50,000.
+    deeper than ``max_depth`` or the assertions exceed ``max_assertions``,
+    which defaults to 20 per ABox assertion and never less than 50,000.
     """
-    if not is_horn_alcfi(tbox):
-        raise ValueError("completion requires a Horn-ALCFI TBox")
-    c_t = normalize_horn(tbox)
-    functional = tbox.functional
-    radius = concept_depth(c_t)
+    try:    # numbered once per TBox value and kept on it, like a sort key
+        table = tbox._chase
+    except AttributeError:
+        if not is_horn_alcfi(tbox):
+            raise ValueError("completion requires a Horn-ALCFI TBox")
+        table = _Table(tbox)
+        object.__setattr__(tbox, "_chase", table)
+    table = table.extended([Atom(n) for n in abox.concept_names()], abox.role_names())
+    concepts, kind, parts, neg = table.concepts, table.kind, table.parts, table.neg
+    c_t, bot = table.ids[table.c_t], table.ids[Bot()]
+    radius = concept_depth(table.c_t)
     if max_assertions is None:
         max_assertions = max(50000, 20 * (len(abox.concept_assertions)
                                           + len(abox.role_assertions)))
 
-    labels = {a: set() for a in sorted(abox.individuals())}
+    labels = {a: 0 for a in sorted(abox.individuals())}
     for name, a in abox.concept_assertions:
-        labels[a].add(Atom(name))
-    struct = _Structure(labels, abox.role_assertions, pair_blocking=bool(functional))
-    assertions = sum(len(v) for v in labels.values()) + len(struct.edges)
+        labels[a] |= 1 << table.ids[Atom(name)]
+    struct = _Structure(table, labels, sorted(abox.role_assertions))
+    assertions = sum(m.bit_count() for m in labels.values()) + len(struct.edges)
     rng = random.Random(order_seed) if order_seed is not None else None
     trace = []
     bottom = False
@@ -309,31 +331,30 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         neighbours[a].add(b)
         neighbours[b].add(a)
     touched = set(labels)            # groups that gained an assertion; at first all
-    settled = {}                     # individual -> the concepts a visit skips
-    unchecked = sorted(functional)   # the roles the Rf scan below has not yet checked
+    settled = {}                     # individual -> the mask of concepts a visit skips
+    unchecked = sorted(tbox.functional)  # the roles the Rf scan below has not yet checked
 
     def add_concept(x, c, rule, premise):
         nonlocal bottom, assertions
         label = labels[x]
-        if c in label:
+        if label >> c & 1:
             return
-        label.add(c)
+        labels[x] = label = label | 1 << c
         assertions += 1
         touched.add(group[x])
         if keep_trace:
-            trace.append((rule, premise, f"{print_concept(c)}({struct.name(x)})"))
+            trace.append((rule, premise, f"{print_concept(concepts[c])}({struct.name(x)})"))
         # complementary literals clash: the right-hand grammar admits
         # negated names, and A with not A is as inconsistent as bot
-        if isinstance(c, Bot) or \
-                (isinstance(c, Not) and isinstance(c.sub, Atom) and c.sub in label) or \
-                (isinstance(c, Atom) and Not(c) in label):
+        if c == bot or (neg[c] >= 0 and label >> neg[c] & 1):
             bottom = struct.bottom = True
-            if Bot() not in label:
-                label.add(Bot())
+            if not label >> bot & 1:
+                labels[x] = label | 1 << bot
                 assertions += 1
 
-    def add_edge(x, role, y, rule, premise):
+    def add_edge(x, c, y, rule, premise):
         nonlocal assertions
+        role = concepts[c].role
         e = (role.name, y, x) if role.inverted else (role.name, x, y)
         if not struct.add_edge(e):
             return
@@ -346,7 +367,7 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
     def expandable(x):
         # R4/R6 are suppressed at blocked individuals and below them
         return all(struct.blocker_of(y) is None
-                   for y in [x, *(parent for parent, _, _ in struct.path(x))])
+                   for y in [x, *(parent for parent, _ in struct.path(x))])
 
     while touched and not bottom:
         region = frontier = touched
@@ -360,46 +381,51 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         for x in inds:
             add_concept(x, c_t, "R1", struct.name(x) if keep_trace else None)
         for x in inds:
-            label = labels[x]
-            done = settled.setdefault(x, set())
-            todo = label - done
+            done = settled.get(x, 0)
+            todo = labels[x] & ~done
             while todo and not bottom:
-                seen = set(label)
-                for c in sorted(todo, key=concept_sort_key):
-                    prem = f"{print_concept(c)}({struct.name(x)})" if keep_trace else None
-                    if isinstance(c, And):
-                        add_concept(x, c.left, "R2", prem)
-                        add_concept(x, c.right, "R2", prem)
-                    elif isinstance(c, Implies):
+                seen = labels[x]
+                while todo:     # the bits from low to high: in sort order
+                    c = (todo & -todo).bit_length() - 1
+                    todo ^= 1 << c
+                    k = kind[c]
+                    prem = f"{print_concept(concepts[c])}({struct.name(x)})" if keep_trace else None
+                    if k is And:
+                        add_concept(x, parts[c][0], "R2", prem)
+                        add_concept(x, parts[c][1], "R2", prem)
+                    elif k is Implies:
                         # the premise match follows blockers: a deep match may
                         # run through a blocked individual's virtual subtree
-                        if c.right not in label:
-                            if not struct.match(c.left, x):
+                        premise, right = parts[c]
+                        if not labels[x] >> right & 1:
+                            if not struct.holds(premise, x):
                                 continue
-                            add_concept(x, c.right, "R3", prem)
-                    elif isinstance(c, Forall):
-                        for y in struct.successors(x, c.role):
-                            add_concept(y, c.filler, "R7", prem)
+                            add_concept(x, right, "R3", prem)
+                    elif k is Forall:
+                        filler, role = parts[c]
+                        for y in struct.successors(x, role):
+                            add_concept(y, filler, "R7", prem)
                         continue    # later edges give it new successors
-                    elif isinstance(c, Exists):
-                        existing = c.role in functional and struct.successors(x, c.role)
+                    elif k is Exists:
+                        filler, role = parts[c]
+                        existing = role in table.functional and struct.successors(x, role)
                         if existing:
                             for y in existing:  # R5
-                                add_concept(y, c.filler, "R5", prem)
+                                add_concept(y, filler, "R5", prem)
                         elif expandable(x):  # R4, or R6 for a functional role
-                            y = struct.child(x, c.role, c.filler, max_depth)
+                            y = struct.child(x, c, max_depth)
                             if y is None:
                                 truncated = True
                                 continue
                             group[y] = group[x]
-                            rule = "R6" if c.role in functional else "R4"
-                            add_edge(x, c.role, y, rule, prem)
-                            add_concept(y, c.filler, rule, prem)
-                        if c.role in functional or \
-                                (c.role, c.filler) not in struct.children.get(x, ()):
+                            rule = "R6" if role in table.functional else "R4"
+                            add_edge(x, c, y, rule, prem)
+                            add_concept(y, filler, rule, prem)
+                        if role in table.functional or c not in struct.children.get(x, ()):
                             continue
-                    done.add(c)
-                todo = label - seen
+                    done |= 1 << c
+                todo = labels[x] & ~seen
+            settled[x] = done
             if bottom:
                 break
             if assertions > max_assertions:
@@ -413,15 +439,16 @@ def complete(tbox: TBox, abox: ABox, max_depth: int = 20,
         # at a successor, R4 and R6 edges lead to a new child): scan once.
         for role in unchecked:
             for x in labels:
-                if len(struct.successors(x, role)) >= 2:
-                    add_concept(x, Bot(), "Rf",
-                                f"{role}({struct.name(x)}) has two successors")
+                if len(struct.successors(x, table.role_ids[role.name] + role.inverted)) >= 2:
+                    add_concept(x, bot, "Rf", f"{role}({struct.name(x)}) has two successors")
         unchecked = ()
 
     status = "complete" if (bottom or not truncated) else "budget-exhausted"
-    struct.labels = {k: frozenset(v) for k, v in labels.items()}
-    return Completion(tbox, abox, c_t, struct.labels, struct.origin,
-                      frozenset(struct.edges), status, bottom, tuple(trace),
+    decoded = {m: frozenset(c for i, c in enumerate(concepts) if m >> i & 1)
+               for m in set(labels.values())}
+    origin = {y: (x, concepts[c].role, concepts[c].filler) for y, (x, c) in struct.origin.items()}
+    return Completion(tbox, abox, table.c_t, {x: decoded[m] for x, m in labels.items()},
+                      origin, frozenset(struct.edges), status, bottom, tuple(trace),
                       structure=struct)
 
 

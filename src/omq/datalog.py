@@ -304,9 +304,11 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
 
     moves = {role: [mask(structure.successors[role].get(p, ())) for p in bit]
              for name in roles for role in (Role(name), Role(name, True))}
+    atoms = {}      # (relation, arguments) -> the one DAtom that the rules share
 
     def edge(role: Role, a: str, b: str) -> DAtom:
-        return DAtom(role.name, (b, a) if role.inverted else (a, b))
+        args = (b, a) if role.inverted else (a, b)
+        return atoms.setdefault((role.name, args), DAtom(role.name, args))
 
     family = []                     # type-set masks in discovery order
     known = set()
@@ -318,7 +320,7 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
                 raise SizeGuardError(f"more than {max_idbs} reachable type-set relations")
             known.add(s)
             family.append(s)
-        return DAtom(f"{prefix}{s:x}", (var,))
+        return atoms.setdefault((s, var), DAtom(f"{prefix}{s:x}", (var,)))
 
     x = ("x",)
     seed_rules = [DRule(rel(full), (DAtom(DOM, x),))]

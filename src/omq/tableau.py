@@ -130,27 +130,19 @@ def nnf_not(c: Concept) -> Concept:
 # The compiled TBox
 # ---------------------------------------------------------------------------
 
-class _Compiled:
-    """A TBox as the search reads it.  ``ids`` numbers from 0 the closure
-    of the internalized inclusions and ``not A`` for each concept name A,
-    which a negated query seeds.  An id indexes ``kind`` (the class),
+class ConceptTable:
+    """Concepts numbered in ``concept_sort_key`` order, as an engine reads
+    them.  ``ids`` numbers from 0 the given concepts and their parts, and
+    ``concepts`` lists them by id.  An id indexes ``kind`` (the class),
     ``parts`` ((left, right) ids of a conjunction or disjunction, (filler,
     role) ids of a restriction), ``neg`` (the complementary literal's id,
-    or -1) and ``rank`` (its ``concept_sort_key``, by which the search
-    chooses).  Role name r has an even id i, and inv(r) the id i ^ 1."""
+    or -1) and ``rank`` (its ``concept_sort_key``).  Role name r has an
+    even id i, and inv(r) the id i ^ 1."""
 
-    def __init__(self, tbox: TBox):
-        self.kind, self.parts, self.neg, self.rank = [], [], [], []
+    def __init__(self, concepts, role_names):
+        self.concepts, self.kind, self.parts, self.neg, self.rank = [], [], [], [], []
         self.ids, self.role_ids = {}, {}    # concept -> id; role name -> id
-        gcis = {nnf(Or(Not(l), r)) for l, r in tbox.inclusions} - {Top()}
-        self._number(gcis | {Not(Atom(a)) for a in tbox.concept_names()}, tbox.role_names())
-        # the internalized inclusions in sort order, as a label to seed
-        self.globals = dict.fromkeys(
-            sorted((self.ids[c] for c in gcis), key=self.rank.__getitem__), _NO_DEPS)
-        self.functional = tuple(self.role_ids[r.name] + r.inverted
-                                for r in sorted(tbox.functional))
-        self.blocking = ("pair" if self.functional
-                         else "equality" if "I" in dialect(tbox) else "subset")
+        self._number(concepts, role_names)
 
     def _number(self, concepts, role_names):
         """Give ids to the concepts, their parts and the role names that
@@ -162,6 +154,7 @@ class _Compiled:
                 s.role.name for s in new if isinstance(s, (Exists, Forall))) - role_ids.keys()):
             role_ids[name] = 2 * len(role_ids)
         ids.update((c, i) for i, c in enumerate(new, len(ids)))
+        self.concepts += new
         self.kind += map(type, new)
         self.rank += map(concept_sort_key, new)
         self.neg += [-1] * len(new)
@@ -172,10 +165,10 @@ class _Compiled:
                 self.parts.append((ids[c.filler], role_ids[c.role.name] + c.role.inverted))
             else:
                 self.parts.append(())
-                if isinstance(c, Not):      # in NNF, a negated concept name
+                if isinstance(c, Not):      # a negated concept name
                     self.neg[ids[c]], self.neg[ids[c.sub]] = ids[c.sub], ids[c]
 
-    def extended(self, concepts, role_names) -> "_Compiled":
+    def extended(self, concepts, role_names) -> "ConceptTable":
         """This table if it numbers the concepts and role names already,
         else a copy that numbers them too; this table stays as it is."""
         if all(c in self.ids for c in concepts) and self.role_ids.keys() >= role_names:
@@ -185,6 +178,22 @@ class _Compiled:
                             if isinstance(v, (list, dict)))
         out._number(concepts, role_names)
         return out
+
+
+class _Compiled(ConceptTable):
+    """A TBox as the search reads it: its internalized inclusions, and ``not A``
+    for each concept name A, which a negated query seeds."""
+
+    def __init__(self, tbox: TBox):
+        gcis = {nnf(Or(Not(l), r)) for l, r in tbox.inclusions} - {Top()}
+        super().__init__(gcis | {Not(Atom(a)) for a in tbox.concept_names()}, tbox.role_names())
+        # the internalized inclusions in sort order, as a label to seed
+        self.globals = dict.fromkeys(
+            sorted((self.ids[c] for c in gcis), key=self.rank.__getitem__), _NO_DEPS)
+        self.functional = tuple(self.role_ids[r.name] + r.inverted
+                                for r in sorted(tbox.functional))
+        self.blocking = ("pair" if self.functional
+                         else "equality" if "I" in dialect(tbox) else "subset")
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ form of a question that ``omq`` decides another way.
 import itertools
 from dataclasses import dataclass
 
-from omq.chase import Completion, _Structure, normalize_horn
+from omq.chase import Completion, normalize_horn
 from omq.semantics import (
     Interpretation, _ekey, _watchers, arc_consistency, eval_concept, hom_problem, is_model,
     match_query,
 )
 from omq.syntax import (
-    ABox, And, Atom, Bot, CQ, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not,
-    PAnd, PAtom, PEQ, POr, Query, Role, TBox, UCQ, concept_names, concept_sort_key,
+    ABox, And, Atom, Bot, CQ, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not, Or,
+    PAnd, PAtom, PEQ, POr, Query, Role, TBox, Top, UCQ, concept_names, concept_sort_key,
     conjoin, is_horn_alcfi,
 )
 from omq.tableau import satisfiable
@@ -460,10 +460,104 @@ def cq_to_eli_concept(q: CQ) -> Concept:
 # The chase by full rounds
 # ---------------------------------------------------------------------------
 
+class _Structure:
+    """The chase's structure over concept-labelled individuals: labels
+    are sets of concepts, and ``match`` recurses over the concept.
+
+    ``origin`` maps each anonymous individual y to (parent, role,
+    concept); two indexes are kept beside it: ``children`` maps x to
+    {(role, concept): y} and ``adj`` maps x to {role: set of successors}.
+
+    Blocking compares full concept labels with a strict ancestor.  Without
+    functional roles a node's subtree is determined by its label alone;
+    with functionality it also depends on the incoming edge, so blocking
+    additionally requires equal incoming steps and equal parent labels
+    (the pairwise condition), mirroring the tableau's blocking choice.
+    """
+
+    def __init__(self, labels, edges, pair_blocking=False):
+        self.labels = labels   # individual -> set/frozenset of concepts
+        self.origin = {}       # anonymous individual -> (parent, role, concept)
+        self.children = {}     # x -> {(role, concept): y}
+        self.edges = set()     # of (role name, x, y)
+        self.adj = {}          # x -> {role: set of role-successors of x}
+        self.bottom = False
+        self.pair_blocking = pair_blocking
+        for e in edges:
+            self.add_edge(e)
+
+    def add_edge(self, e) -> bool:
+        """Adds the edge (role name, x, y); False if it was there."""
+        if e in self.edges:
+            return False
+        n, a, b = e
+        self.edges.add(e)
+        self.adj.setdefault(a, {}).setdefault(Role(n), set()).add(b)
+        self.adj.setdefault(b, {}).setdefault(Role(n, True), set()).add(a)
+        return True
+
+    def child(self, x, role: Role, concept: Concept, max_depth: int):
+        """x's (role, concept)-child, numbered on first use; None when a
+        new child would lie deeper than max_depth."""
+        kids = self.children.setdefault(x, {})
+        y = kids.get((role, concept))
+        if y is None and len(self.path(x)) < max_depth:
+            y = kids[(role, concept)] = len(self.origin)
+            self.origin[y] = (x, role, concept)
+            self.labels[y] = set()
+        return y
+
+    def successors(self, x, role: Role):
+        return self.adj.get(x, {}).get(role, ())
+
+    def path(self, x) -> list:
+        """The origin steps (parent, role, concept) from x up to its root."""
+        steps = []
+        while x in self.origin:
+            steps.append(self.origin[x])
+            x = steps[-1][0]
+        return steps
+
+    def blocker_of(self, x):
+        """The nearest strict ancestor qualifying as a blocker, if any."""
+        step = up = self.origin.get(x)
+        while up is not None:
+            anc = up[0]
+            up = self.origin.get(anc)
+            if self.labels[anc] == self.labels[x] and (not self.pair_blocking or (
+                    up is not None and up[1:] == step[1:]
+                    and self.labels[up[0]] == self.labels[step[0]])):
+                return anc
+        return None
+
+    def match(self, concept: Concept, x) -> bool:
+        """Syntactic match on the virtual completed ABox: a blocked
+        individual also has its blocker's children."""
+        if isinstance(concept, Top):
+            return True
+        if isinstance(concept, Bot):
+            return self.bottom
+        if isinstance(concept, Atom):
+            return concept in self.labels.get(x, frozenset())
+        if isinstance(concept, And):
+            return self.match(concept.left, x) and self.match(concept.right, x)
+        if isinstance(concept, Or):
+            return self.match(concept.left, x) or self.match(concept.right, x)
+        if isinstance(concept, Exists):
+            ys = list(self.successors(x, concept.role))
+            blocker = self.blocker_of(x)
+            if blocker is not None:
+                ys += [y for (role, _), y in self.children.get(blocker, {}).items()
+                       if role == concept.role]
+            return any(self.match(concept.filler, y) for y in ys)
+        raise ValueError(f"not an ELIU-bottom constructor: {type(concept).__name__}")
+
+
 def complete_by_rounds(tbox: TBox, abox: ABox, max_depth: int = 20,
                        max_assertions: int = 50000) -> Completion:
-    """``chase.complete`` as plain fair rounds, without a trace: every
-    round applies every rule at every individual, in the same order,
+    """``chase.complete`` as plain fair rounds, without a trace, over
+    concept-set labels (``_Structure`` above) instead of a numbered TBox:
+    every round applies every rule at every individual, in the same order,
     until a round adds nothing.  Same rules, caps, blocking and result
     type; it only skips no individual."""
     if not is_horn_alcfi(tbox):

@@ -1,5 +1,5 @@
-"""The tableau's search, the rewriting and the unraveling-tolerance
-refuter do not depend on the hash seed."""
+"""The tableau's search, the rewriting, the unraveling-tolerance refuter
+and the chase's order of additions do not depend on the hash seed."""
 
 import os
 import subprocess
@@ -11,13 +11,15 @@ TESTS = Path(__file__).resolve().parent
 # Prints (result, nodes created, decisions) for the first 200 knowledge
 # bases of the tableau's random corpus, then the rewriting of each of the
 # rewriting tests' TBoxes, then the unraveling-tolerance refuter's outcome
-# on the non-Horn TBoxes of the analysis tests.
+# on the non-Horn TBoxes of the analysis tests, then the chase's traces on
+# the KBs whose digest the chase tests pin.
 SCRIPT = """
 from omq import tableau
 from omq.analysis import refute_unraveling_tolerance
 from omq.datalog import build_rewriting, print_program
 from omq.syntax import Atom, ELIQ, print_abox, print_concept
 from test_analysis import NON_HORN, SMALL
+from test_chase import traced_completions
 from test_datalog import rewriting_tboxes
 from test_tableau import outcome, tableau_corpus
 
@@ -30,6 +32,8 @@ for name, t in NON_HORN.items():
     w = r.witness and (print_abox(r.witness.abox), print_concept(r.witness.concept),
                        r.witness.individual)
     print(name, r.status, r.checked_aboxes, w)
+for c in traced_completions():
+    print(c.trace)
 """
 
 
