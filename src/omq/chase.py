@@ -222,47 +222,53 @@ class Completion:
 
     def unrolled_interpretation(self, extra_depth: int) -> Interpretation:
         """Materialize the virtual completed ABox, unrolling blocked loops
-        to tree depth (deepest real node + extra_depth).  ABox individuals
-        keep their names; the unrolled elements are numbered 0, 1, 2, ...
-        in creation order."""
+        to tree depth (deepest real node + extra_depth) below every ABox
+        individual, by ``_unroll``."""
         s = self.structure
         limit = max((len(s.path(y)) for y in self.origin), default=0) + extra_depth
-        bases = self.abox.individuals()
-        cext = {}
-        rext = {}
-        atoms = {m: [c.name for i, c in enumerate(s.table.concepts)   # mask -> names
-                     if m >> i & 1 and isinstance(c, Atom)] for m in set(s.labels.values())}
+        return self._unroll(dict.fromkeys(self.abox.individuals(), limit))
+
+    def _unroll(self, depth: dict) -> Interpretation:
+        """The virtual completed ABox on the ABox individuals a in ``depth``,
+        each with its tree unrolled to depth[a], and the ABox edges between
+        them.  ABox individuals keep their names; the unrolled elements are
+        numbered 0, 1, 2, ... in creation order, breadth first."""
+        s = self.structure
+        cext, rext = {}, {}
+        atoms = {}      # label mask -> its concept names
 
         def add_labels(elem, x):
-            for n in atoms[s.labels[x]]:
+            m = s.labels[x]
+            if m not in atoms:
+                atoms[m] = [c.name for i, c in enumerate(s.table.concepts)
+                            if m >> i & 1 and isinstance(c, Atom)]
+            for n in atoms[m]:
                 cext.setdefault(n, set()).add(elem)
 
-        for a in bases:
+        for a in depth:
             add_labels(a, a)
         for n, a, b in self.abox.role_assertions:
-            rext.setdefault(n, set()).add((a, b))
+            if a in depth and b in depth:
+                rext.setdefault(n, set()).add((a, b))
 
-        frontier = [(a, a) for a in bases]
-        domain = set(bases)
-        depth = 0
-        while frontier and depth < limit:
-            depth += 1
+        frontier = [(a, a, k) for a, k in depth.items() if k > 0]
+        unrolled = 0
+        while frontier:
             new_frontier = []
-            for elem, x in frontier:
+            for elem, x, left in frontier:
                 blocker = s.blocker_of(x)
                 rep = blocker if blocker is not None else x
                 for c, child in s.children.get(rep, {}).items():
                     role = s.table.concepts[c].role
-                    celem = len(domain) - len(bases)    # unrolled so far
-                    if role.inverted:
-                        rext.setdefault(role.name, set()).add((celem, elem))
-                    else:
-                        rext.setdefault(role.name, set()).add((elem, celem))
-                    add_labels(celem, child)
-                    domain.add(celem)
-                    new_frontier.append((celem, child))
+                    edge = (unrolled, elem) if role.inverted else (elem, unrolled)
+                    rext.setdefault(role.name, set()).add(edge)
+                    add_labels(unrolled, child)
+                    if left > 1:
+                        new_frontier.append((unrolled, child, left - 1))
+                    unrolled += 1
             frontier = new_frontier
-        return Interpretation(frozenset(domain), frozenset(bases),
+        named = frozenset(depth)
+        return Interpretation(named | frozenset(range(unrolled)), named,
                               {k: frozenset(v) for k, v in cext.items()},
                               {k: frozenset(v) for k, v in rext.items()})
 
@@ -474,23 +480,44 @@ def horn_entails_eliq(tbox: TBox, abox: ABox, q, individual,
     return False
 
 
+def _distances(sources, role_atoms, radius: int) -> dict:
+    """Each node within ``radius`` steps of a source along the role atoms
+    (name, a, b), read in both directions, with its distance from the
+    nearest source."""
+    dist = dict.fromkeys(sources, 0)
+    for k in range(1, radius + 1):
+        dist.update({b: k for _, x, y in role_atoms for a, b in ((x, y), (y, x))
+                     if a in dist and b not in dist})
+    return dist
+
+
 def horn_certain_answer_cq(tbox: TBox, abox: ABox, q, answers: tuple,
                            completion: Optional[Completion] = None) -> bool:
     """Certain answer for a CQ/UCQ under a Horn TBox, evaluated on the
     canonical interpretation with the blocked frontier unrolled to the
-    query's variable count.  Raises ValueError when an answer is not an
-    ABox individual."""
+    query's variable count n: to tree depth (deepest real node + 2n + 1).
+    When every connected part of every disjunct holds an answer variable,
+    and r is the largest distance of a variable from an answer variable,
+    only the ball of radius r around the answers is built: each ABox
+    individual at distance d <= r from them, along role assertions, with
+    its tree unrolled to depth r - d.  A match cannot increase distances,
+    so the ball, an induced substructure, holds every match.  Raises
+    ValueError when an answer is not an ABox individual."""
     c = completion if completion is not None else complete(tbox, abox)
     c._check_named(answers)
     if c.bottom:
         return True
     if isinstance(q, (ELIQ, ELQ)):
         return horn_entails_eliq(tbox, abox, q, answers[0], completion=c)
-    if isinstance(q, UCQ):
-        nvars = max((len(d.variables()) for d in q.disjuncts), default=0)
+    disjuncts = q.disjuncts if isinstance(q, UCQ) else (q,)
+    nvars = max((len(d.variables()) for d in disjuncts), default=0)
+    reach = [_distances(d.answer_vars, d.role_atoms, nvars) for d in disjuncts]
+    if all(len(dist) == len(d.variables()) for dist, d in zip(reach, disjuncts)):
+        r = max((k for dist in reach for k in dist.values()), default=0)
+        ball = _distances(answers, c.abox.role_assertions, r)
+        i = c._unroll({a: r - k for a, k in ball.items()})
     else:
-        nvars = len(q.variables())
-    i = c.unrolled_interpretation(2 * nvars + 1)
+        i = c.unrolled_interpretation(2 * nvars + 1)
     got = match_query(i, q, answers)
     if not got and c.status != "complete":
         raise InconclusiveError("completion budget exhausted before a fixpoint")

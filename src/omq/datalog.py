@@ -17,8 +17,10 @@ defines by its rules are left out.
 Evaluation is semi-naive, with joins through hash indexes on the bound
 argument positions.  Round one joins only the rules whose body relations
 all hold facts; the others fire from their deltas, so no join reads an
-empty relation.  A join plan depends on a rule's variables, not on its
-relation names, so one evaluation plans each rule shape once.
+empty relation.  What evaluation reads of the program itself is compiled
+once per program (``Program.compiled``) and shared by every call.  A join
+plan depends on a rule's variables, not on its relation names, so the
+rules of one shape share their plans.
 
 The rewriting is arc consistency of the ABox against the type structure
 written as rules (Feder & Vardi, SIAM J. Comput. 1998): seed, propagation
@@ -96,6 +98,25 @@ class Program:
                 uses.setdefault((a.pred, len(a.args)), []).append((r, i))
         return {key: tuple(pairs) for key, pairs in uses.items()}
 
+    @cached_property
+    def compiled(self) -> tuple:
+        """What evaluation reads of the program, built on first use and
+        shared like ``uses``: the relations the program defines (the goal
+        included), the numbers of the rules round one may join (bodyless,
+        or reading no defined relation), and per rule its plans by first
+        body position, one tuple shared by the rules of a shape."""
+        defined = self.idb() | {self.goal}
+        shapes = {}     # (body argument tuples, head arguments, inequalities) -> plans
+        plans = []
+        for rule in self.rules:
+            shape = (tuple(a.args for a in rule.body), rule.head.args, rule.neq)
+            if shape not in shapes:
+                shapes[shape] = tuple(_plan(rule, i) for i in range(len(rule.body)))
+            plans.append(shapes[shape])
+        first = tuple(r for r, rule in enumerate(self.rules)
+                      if defined.isdisjoint(a.pred for a in rule.body))
+        return defined, first, tuple(plans)
+
     def __str__(self):
         return print_program(self)
 
@@ -114,7 +135,7 @@ def _edb_facts(abox: ABox, program: Program) -> dict:
     """The ABox as the program's input.  Assertions of a relation that
     the program defines by its rules (the goal included) are not input
     and are left out."""
-    defined = program.idb() | {program.goal}
+    defined = program.compiled[0]
     facts = {}
     for name, a in abox.concept_assertions:
         if name not in defined:
@@ -194,11 +215,10 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
     only, so a rule skipped in round one fires from its delta once its
     last empty relation gains facts.  The other atoms are read from hash
     indexes on their bound argument positions, kept up to date as facts
-    are added, and a join with an empty index is not entered.  A join
-    plan is made once per call for each rule shape (the body's argument
-    tuples, the head's arguments, the inequalities) and first atom, and
-    shared by the rules of that shape.  The rules a delta feeds come from
-    the program's ``uses`` index, built once per program.
+    are added, and a join with an empty index is not entered.  The join
+    plans, the rules round one may join and the rules a delta feeds come
+    from ``Program.compiled`` and ``Program.uses``, built once per
+    program; a call builds only its facts and their indexes.
     """
     facts = _edb_facts(abox, program)
     indexes = {}    # (pred, arity) -> {positions: (key getter, {key: [tuple]})}
@@ -214,23 +234,19 @@ def evaluate(program: Program, abox: ABox) -> frozenset:
             by_positions[positions] = (get, idx)
         return by_positions[positions][1]
 
-    plans = {}      # (shape, first atom) -> plan
-    rules, uses = program.rules, program.uses
+    rules, uses, (_, first, plans) = program.rules, program.uses, program.compiled
 
     def derive(r, i, rows, new):
-        rule = rules[r]
-        body, head = rule.body, rule.head
-        shape = (tuple(a.args for a in body), head.args, rule.neq, i)
-        plan = plans.get(shape)
-        if plan is None:
-            plan = plans[shape] = _plan(rule, i)
+        body, head = rules[r].body, rules[r].head
+        plan = plans[r][i]
         sources = [index(body[j].pred, len(body[j].args), bound)
                    for j, bound, *_ in plan[0][1:]]
         if all(sources):    # an empty index joins to nothing
             _join(plan, sources, 0, rows, {}, new.setdefault((head.pred, len(head.args)), set()))
 
     new = {}
-    for r, rule in enumerate(rules):
+    for r in first:
+        rule = rules[r]
         if not rule.body:
             new.setdefault((rule.head.pred, 0), set()).add(())
         elif all(facts.get(a.pred) for a in rule.body):

@@ -170,12 +170,14 @@ class ConceptTable:
 
     def extended(self, concepts, role_names) -> "ConceptTable":
         """This table if it numbers the concepts and role names already,
-        else a copy that numbers them too; this table stays as it is."""
-        if all(c in self.ids for c in concepts) and self.role_ids.keys() >= role_names:
+        else a copy that numbers them too, sharing all but ``role_ids`` when
+        only role names are new; this table stays as it is."""
+        numbered = all(c in self.ids for c in concepts)
+        if numbered and self.role_ids.keys() >= role_names:
             return self
         out = copy.copy(self)
         out.__dict__.update((k, v.copy()) for k, v in vars(self).items()
-                            if isinstance(v, (list, dict)))
+                            if k == "role_ids" or (not numbered and isinstance(v, (list, dict))))
         out._number(concepts, role_names)
         return out
 

@@ -10,7 +10,7 @@ from omq.syntax import (
 )
 from omq.semantics import Interpretation, eval_concept, is_model, match_query
 from omq.chase import (
-    Completion, InconclusiveError, _Structure, complete, horn_certain_answer_cq,
+    Completion, InconclusiveError, _Structure, _Table, complete, horn_certain_answer_cq,
     horn_entails_eliq,
 )
 from omq.tableau import abox_consistent
@@ -324,6 +324,11 @@ def test_one_table_per_tbox_value():
     assert Atom("Z") in wider.labels["a"] and Atom("Z") not in t._chase.ids
     assert wider.matches(Exists(Role("s"), Top()), "a")
     assert complete(t, parse_abox("A(a)")).structure.table is t._chase
+    # a new role name alone copies the role numbering, and shares the rest
+    roles_only = complete(t, parse_abox("A(a)\ns(a,b)\nB(b)"))
+    assert roles_only.structure.table.concepts is t._chase.concepts
+    assert roles_only.matches(Exists(Role("s"), B), "a")
+    assert vars(t._chase) == vars(_Table(t)) and "s" not in t._chase.role_ids
 
 
 # -- the order of additions ---------------------------------------------------
@@ -552,6 +557,115 @@ def test_unrolling_keeps_every_path_apart():
         assert len(i.domain) == 2 ** (k + 2) - 1
         assert i.concept("A") == i.domain
         assert sum(map(len, i.role_ext.values())) == len(i.domain) - 1
+
+
+def _rand_cq(rng, arity):
+    """A random CQ over NAMES and ROLES with ``arity`` answer variables
+    and up to three more, each atom over any of them: cycles, parts
+    disconnected from each other and parts holding no answer variable
+    all occur.  Every other CQ with an answer variable is instead the
+    tree CQ of a depth-2 ELIQ at x, which reaches into the anonymous
+    part."""
+    variables = ["x", "x2"][:arity] + [f"v{k}" for k in range(rng.randint(arity == 0, 3))]
+    if arity and rng.random() < 0.5:
+        tree = eliq_to_cq(ELIQ(rand_eli_concept(rng, 2, NAMES, ROLES), "x"))
+        return CQ.of(tree.concept_atoms, tree.role_atoms, variables[:arity])
+    return CQ.of({(rng.choice(NAMES), rng.choice(variables)) for _ in range(rng.randint(0, 3))},
+                 {(rng.choice(ROLES), rng.choice(variables), rng.choice(variables))
+                  for _ in range(rng.randint(0, 4))},
+                 variables[:arity])
+
+
+def _cq_features(q):
+    """Which of cyclic, disconnected and Boolean-part the CQ is, by the
+    parts of its multigraph of role atoms: a forest has one edge fewer
+    per part than it has variables, and a self-loop is an edge that
+    joins nothing."""
+    parts = [{v} for v in q.variables()]
+    edges = [frozenset((x, y)) for _, x, y in q.role_atoms]
+    for e in edges:
+        parts = [p for p in parts if not p & e] + [set().union(*(p for p in parts if p & e))]
+    found = {"cyclic"} if len(edges) > len(q.variables()) - len(parts) else set()
+    if any(p.isdisjoint(q.answer_vars) for p in parts):
+        found.add("boolean part")
+    elif len(parts) > 1:
+        found.add("disconnected anchored")
+    return found
+
+
+def _unrolled_size(c, extra_depth):
+    """How many elements ``c.unrolled_interpretation(extra_depth)`` has,
+    counted without building it."""
+    s, memo = c.structure, {}
+
+    def size(x, k):
+        if k and (x, k) not in memo:
+            rep = s.blocker_of(x)
+            kids = s.children.get(x if rep is None else rep, {}).values()
+            memo[x, k] = 1 + sum(size(y, k - 1) for y in kids)
+        return memo.get((x, k), 1)
+
+    limit = max((len(s.path(y)) for y in c.origin), default=0) + extra_depth
+    return sum(size(a, limit) for a in c.abox.individuals())
+
+
+def test_cq_ball_agrees_with_the_full_unrolling_on_random_horn_kbs():
+    # anchored queries are matched in the ball around their answers, the
+    # others in the full unrolling: both give what matching the full
+    # unrolling at the query's variable count gives.  That reference grows
+    # as the branching to the power 2·nvars + 1, so a query whose
+    # reference would exceed 20,000 elements is not asked
+    rng = random.Random(24)
+    kinds, outcomes = set(), {(ball, want): 0 for ball in (True, False) for want in (True, False)}
+    asked = skipped = 0
+    for _ in range(300):
+        t, abox = _rand_horn_kb(rng)
+        c = complete(t, abox)
+        if c.status != "complete" or c.bottom:
+            continue
+        inds = sorted(abox.individuals())
+        for _ in range(3):
+            arity = rng.choice([0, 1, 2, 2])
+            qs = [_rand_cq(rng, arity) for _ in range(rng.choice([1, 1, 2]))]
+            q = qs[0] if len(qs) == 1 else UCQ(tuple(qs), qs[0].answer_vars)
+            kinds |= {f"{arity} answers", "ucq" if len(qs) > 1 else "cq"}
+            features = set().union(*map(_cq_features, qs))
+            kinds |= features
+            nvars = max(len(d.variables()) for d in qs)
+            size = _unrolled_size(c, 2 * nvars + 1)
+            if size > 20000:
+                skipped += 1
+                continue
+            asked += 1
+            full = c.unrolled_interpretation(2 * nvars + 1)
+            assert len(full.domain) == size
+            tuples = list(itertools.product(inds, repeat=arity))
+            for answers in rng.sample(tuples, min(8, len(tuples))):
+                want = match_query(full, q, answers)
+                assert horn_certain_answer_cq(t, abox, q, answers, completion=c) == want, \
+                    (t, abox, q, answers)
+                outcomes["boolean part" not in features, want] += 1
+    assert kinds >= {"0 answers", "1 answers", "2 answers", "cq", "ucq", "cyclic",
+                     "boolean part", "disconnected anchored"}, kinds
+    assert min(outcomes.values()) > 100 and skipped < asked // 20, (outcomes, skipped)
+
+
+def test_cq_unrolls_only_the_ball_around_its_answers(monkeypatch):
+    # matched on the full unrolling to its variable count, this CQ once
+    # built 744,684 elements; it reaches two steps from its answer
+    t = parse_tbox("top sub all r.some r.top\ntop or B sub some r.some s.not B\n"
+                   "func(inv(r))")
+    abox = parse_abox("r(a0,a0)\ns(a0,a0)")
+    q = eliq_to_cq(ELIQ(Exists(Role("r", True), Exists(Role("s", True), B)), "x"))
+    sizes = []
+
+    def spy(i, *args):
+        sizes.append(len(i.domain))
+        return match_query(i, *args)
+
+    monkeypatch.setattr("omq.chase.match_query", spy)
+    assert not horn_certain_answer_cq(t, abox, q, ("a0",))
+    assert len(sizes) == 1 and sizes[0] < 50
 
 
 def test_budget_exhaustion_is_inconclusive():

@@ -255,6 +255,28 @@ def test_evaluate_reads_one_rule_index_per_program():
     assert p.uses is uses and uses == Program.uses.func(p)
 
 
+def test_evaluate_compiles_each_program_once(monkeypatch):
+    # the plans, the defined relations and the rules of round one are
+    # built on the first call and read, unchanged, by every later one
+    t = parse_tbox("A sub some r.B\nB sub some r.A\nsome r.D sub D\nB and C sub D\n"
+                   "some inv(r).C sub C")
+    p = build_rewriting(t, ELIQ(Exists(r, Atom("D")), "x"))
+    abox = parse_abox("\n".join([f"r(a{k},a{k + 1})" for k in range(6)] + ["C(a2)", "B(a4)"]))
+    other = parse_abox("r(a,b)\nA(b)")
+    answers, other_answers = evaluate(p, abox), evaluate_naive(p, other)
+    assert answers == evaluate_naive(p, abox) and answers
+    compiled = p.compiled
+    calls = []
+    monkeypatch.setattr("omq.datalog._plan", lambda *args: calls.append("_plan"))
+    monkeypatch.setattr(Program, "idb", lambda self: calls.append("idb"))
+    assert evaluate(p, abox) == answers and evaluate(p, other) == other_answers
+    assert calls == [] and p.compiled is compiled
+    monkeypatch.undo()
+    assert compiled[:2] == Program.compiled.func(p)[:2]
+    # the rules of one shape share one tuple of plans
+    assert len({id(plans) for plans in compiled[2]}) < len(p.rules) // 20
+
+
 def test_evaluate_joins_no_empty_relation(monkeypatch):
     # almost every rewriting rule reads a type-set relation, empty until
     # a seed fills it: such a rule waits for its delta instead of being
