@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    ABox, And, Atom, Concept, ELIQ, Exists, Or, Role, TBox, Top, conjoin,
-    dialect, eliq_to_cq, is_depth_one, is_horn_alcfi,
+    ABox, And, Atom, Concept, ELIQ, Exists, Or, Role, TBox, Top, concept_sort_key,
+    conjoin, dialect, eliq_to_cq, is_depth_one, is_horn_alcfi,
 )
 from .semantics import Interpretation, arc_consistency, hom_problem, solve
-from .types import closure, compute_types, entails_eliq, entails_eliq_disjunction, succ_relation
+from .types import closure, entails_eliq, entails_eliq_disjunction, type_structure
 from .csp import Signature, restrict_abox
 
 _IND_NAMES = "abcdefgh"
@@ -82,24 +82,31 @@ class UnravelingViolation:
 def _type_structure(tbox: TBox, concepts: tuple, structures: dict) -> tuple:
     """The type structure over the union of closure(T, C) for the C in
     ``concepts``, and per C the mask of its points whose type lacks C.
-    ``structures`` memoizes each closure under its C, the structure under
-    their union, which queries with one closure share, and the answer
-    under ``concepts``."""
-    if tbox.functional:
-        raise ValueError("the type structure decides ALC/ALCI TBoxes only")
-    if concepts not in structures:
-        structures.update((c, closure(tbox, c)) for c in concepts if c not in structures)
-        key = frozenset().union(*(structures[c] for c in concepts))
+    ``structures`` memoizes, for one analysis of ``tbox``: under None, a
+    bit for each closure member that query concepts add, 0 for the TBox's
+    own; under the mask of those bits that a union closure sets, its
+    structure, which queries with one closure share; and under
+    ``concepts``, the answer."""
+    found = structures.get(concepts)
+    if found is None:
+        if tbox.functional:
+            raise ValueError("the type structure decides ALC/ALCI TBoxes only")
+        if None not in structures:
+            structures[None] = dict.fromkeys(closure(tbox), 0)
+        bit = structures[None]
+        key = 0
+        for m in closure(TBox.of(), *concepts):
+            key |= bit.setdefault(m, 1 << len(bit))
         if key not in structures:
-            q = conjoin(concepts)
-            types = compute_types(tbox, q)
-            structures[key] = succ_relation(tbox, q, types), types
-        structure, types = structures[key]
-        position = structure.numbering.position
-        structures[concepts] = structure, tuple(
-            sum(1 << position[f"t{i}"] for i, t in enumerate(types) if c not in t)
-            for c in concepts)
-    return structures[concepts]
+            cl = tuple(sorted((m for m, b in bit.items() if not b or b & key),
+                              key=concept_sort_key))
+            structure, holders = type_structure(tbox, cl)
+            structures[key] = structure, holders, {c: p for p, c in enumerate(cl)}
+        structure, holders, position = structures[key]
+        everything = (1 << len(structure.domain)) - 1
+        found = structures[concepts] = structure, tuple(everything & ~holders[position[c]]
+                                                        for c in concepts)
+    return found
 
 
 def _escape_test(data: Interpretation):

@@ -17,8 +17,8 @@ from omq.syntax import (
     PAnd, PAtom, PEQ, POr, Query, Role, TBox, Top, UCQ, concept_names, concept_sort_key,
     conjoin, is_horn_alcfi,
 )
-from omq.tableau import satisfiable
-from omq.types import _candidates, compute_types, succ_relation
+from omq.tableau import BudgetExceededError, satisfiable
+from omq.types import MAX_TYPE_DECISIONS, compute_types, succ_relation
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +290,48 @@ def _conjunction(t) -> Concept:
     return conjoin(sorted(t, key=concept_sort_key))
 
 
+def reference_candidates(models: TBox, cl) -> list:
+    """All Boolean-coherent sign assignments over the closure that satisfy
+    the TBox inclusions type-locally, one assignment at a time, as
+    frozensets of true members in the canonical order of their sorted
+    members."""
+    decisions = [c for c in cl if isinstance(c, (Atom, Exists, Forall))]
+    if len(decisions) > MAX_TYPE_DECISIONS:
+        raise BudgetExceededError(
+            f"type space too large: {len(decisions)} independent decisions")
+
+    def val(c, sign) -> bool:
+        if isinstance(c, Top):
+            return True
+        if isinstance(c, Bot):
+            return False
+        if isinstance(c, Not):
+            return not val(c.sub, sign)
+        if isinstance(c, And):
+            return val(c.left, sign) and val(c.right, sign)
+        if isinstance(c, Or):
+            return val(c.left, sign) or val(c.right, sign)
+        if isinstance(c, Implies):
+            return (not val(c.left, sign)) or val(c.right, sign)
+        return sign[c]
+
+    out = []
+    n = len(decisions)
+    for bits in range(1 << n):
+        sign = {decisions[i]: bool(bits >> i & 1) for i in range(n)}
+        if all(not val(lhs, sign) or val(rhs, sign) for lhs, rhs in models.inclusions):
+            # distinct sign assignments differ on a decision, itself a member
+            out.append(frozenset(c for c in cl if val(c, sign)))
+    return sorted(out, key=lambda t: sorted(map(concept_sort_key, t)))
+
+
 def reference_types(cl, models: TBox) -> tuple:
     """The types over the closure ``cl`` realized in models of ``models``,
     in canonical order: with functional roles one tableau call per
     candidate, else type elimination that rescans the survivors pair by
     pair until every existential and negated universal of each has a
     compatible witness."""
-    candidates = _candidates(models, cl)
+    candidates = reference_candidates(models, cl)
     if models.functional:
         return tuple(t for t in candidates if satisfiable(_conjunction(t), models))
     obligations = {}

@@ -16,7 +16,7 @@ from omq.semantics import Interpretation
 from omq.syntax import (
     ABox, Atom, Exists, Forall, dialect, parse_abox, parse_concept, parse_tbox,
 )
-from omq.types import closure, entails_eliq, entails_eliq_disjunction
+from omq.types import entails_eliq, entails_eliq_disjunction
 
 from oracles import unravel_abox
 
@@ -193,14 +193,13 @@ def test_classify_builds_each_type_structure_once(monkeypatch):
     # the two refuters share the structures of one call; a closure's
     # decisions (names, existentials, universals) fix its structure
     built = []
-    compute_types = analysis.compute_types
+    type_structure = analysis.type_structure
 
-    def record(tbox, q, *args):
-        built.append(frozenset(c for c in closure(tbox, q)
-                               if isinstance(c, (Atom, Exists, Forall))))
-        return compute_types(tbox, q, *args)
+    def record(tbox, cl, *args):
+        built.append(frozenset(c for c in cl if isinstance(c, (Atom, Exists, Forall))))
+        return type_structure(tbox, cl, *args)
 
-    monkeypatch.setattr(analysis, "compute_types", record)
+    monkeypatch.setattr(analysis, "type_structure", record)
     report = classify(NON_HORN["alci_cover_irreflexive"], SMALL)
     assert report.unraveling_tolerant[0] == "unknown"   # no witness, so no verify builds
     assert built and len(built) == len(set(built))

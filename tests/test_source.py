@@ -8,6 +8,12 @@ MODULES = sorted(pathlib.Path(omq.__file__).parent.glob("*.py"))
 BENCH_SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
+def test_library_parses_as_python_3_10():
+    # pyproject.toml promises Python 3.10: no except* or other later syntax
+    for path in MODULES:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_library_has_no_assert_statements():
     # python -O strips asserts, so runtime checks must raise explicitly
     found = []

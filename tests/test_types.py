@@ -8,15 +8,17 @@ from omq.syntax import (
     Top, parse_abox, parse_concept, parse_tbox,
 )
 from omq.semantics import Interpretation, eval_concept, is_model
+from omq import types as types_module
 from omq.types import (
-    closure, closure_roles, compute_types, entails_eliq, entails_eliq_disjunction,
-    omitting_tbox, succ_relation, types_omitting,
+    BLOCK_DECISIONS, _candidates, closure, closure_roles, compute_types, entails_eliq,
+    entails_eliq_disjunction, omitting_tbox, succ_relation, types_omitting,
 )
 from omq.tableau import BudgetExceededError, abox_consistent, nnf, satisfiable
 
 from genutil import rand_concept, rand_tbox
 from oracles import (
-    realized_type, reference_successors, reference_types, structure_triples,
+    realized_type, reference_candidates, reference_successors, reference_types,
+    structure_triples,
 )
 
 A, B = Atom("A"), Atom("B")
@@ -237,6 +239,57 @@ def test_types_match_tableau_route():
         t_func = TBox(t.inclusions, frozenset({Role("zz_unused")}))
         slow = compute_types(t_func, q)
         assert fast == slow
+
+
+def chain_tbox(k):
+    """A_i sub A_(i+1) for i < k and A_i sub some r.A_(i+1) for even i, with
+    the query some r.A_k: k + 1 names and k // 2 + 1 existentials decide."""
+    names = [Atom(f"A{i}") for i in range(k + 1)]
+    inclusions = {(names[i], names[i + 1]) for i in range(k)}
+    inclusions |= {(names[i], Exists(r, names[i + 1])) for i in range(0, k, 2)}
+    return TBox(frozenset(inclusions), frozenset()), Exists(r, names[k])
+
+
+def decoded_candidates(models, cl):
+    return [frozenset(c for p, c in enumerate(cl) if t >> p & 1)
+            for t in _candidates(models, cl)]
+
+
+@pytest.mark.parametrize("block", [0, 2, BLOCK_DECISIONS])
+def test_bit_parallel_candidates_match_the_oracle_random(monkeypatch, block):
+    # small blocks split even these closures over many blocks
+    monkeypatch.setattr(types_module, "BLOCK_DECISIONS", block)
+    rng = random.Random(41)
+    for k in range(60):
+        inverse = k % 2 == 0
+        inclusions = frozenset(
+            tuple(rand_concept(rng, depth=2, concepts=("A", "B"), roles=("r", "s"),
+                               allow_inverse=inverse, allow_implies=True) for _ in "lr")
+            for _ in range(rng.randint(0, 3)))
+        t = TBox(inclusions, frozenset())
+        c0 = rand_concept(rng, depth=1, concepts=("A", "B"), roles=("r", "s"),
+                          allow_inverse=inverse, allow_implies=True)
+        cl = closure(t, c0)
+        for models in (t, omitting_tbox(t, c0)):
+            assert decoded_candidates(models, cl) == reference_candidates(models, cl), (t, c0)
+
+
+def test_candidates_over_several_blocks_on_the_chain_tbox():
+    t, q = chain_tbox(8)
+    cl = closure(t, q)
+    assert sum(isinstance(c, (Atom, Exists, Forall)) for c in cl) == 14 > BLOCK_DECISIONS
+    assert decoded_candidates(t, cl) == reference_candidates(t, cl)
+    types = compute_types(t, q)
+    assert len(types) == 37
+    assert types == reference_types(cl, t)
+
+
+def test_type_space_is_capped_at_twenty_decisions():
+    t, q = chain_tbox(12)
+    assert sum(isinstance(c, (Atom, Exists, Forall)) for c in closure(t, q)) == 20
+    assert len(compute_types(t, q)) == 65
+    with pytest.raises(BudgetExceededError):
+        compute_types(*chain_tbox(13))
 
 
 # -- succ_relation ------------------------------------------------------------
