@@ -73,7 +73,7 @@ class UnravelingViolation:
         if not entails_eliq(tbox, self.abox, self.concept, self.individual):
             return False
         structure, avoids = _type_structure(tbox, (self.concept,), {})
-        sigma = Signature(frozenset(structure.concept_ext), frozenset(structure.role_ext))
+        sigma = Signature.of(structure.concept_ext, structure.role_ext)
         names = Interpretation.from_abox(restrict_abox(self.abox, sigma))
         data = Interpretation.of(self.abox.individuals(), None, names.concept_ext, names.role_ext)
         return _escape_test(data)((structure, avoids), (self.individual,), unraveled=True)
@@ -211,7 +211,7 @@ def enumerate_aboxes(concepts, roles, max_individuals):
                     cas.append((s[1], names[s[2]]))
                 else:
                     ras.append((s[1], names[s[2]], names[s[3]]))
-            yield ABox(frozenset(cas), frozenset(ras))
+            yield ABox.of(cas, ras)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,7 @@ def gen_2p2sat_reduction(tbox: TBox, witness: DisjunctionViolation,
                             Exists(Role(roles_p[1]), ff),
                             Exists(Role(roles_n[0]), tt),
                             Exists(Role(roles_n[1]), tt)]))
-    return ABox(frozenset(cas), frozenset(ras)), ELIQ(query, "x"), "f"
+    return ABox.of(cas, ras), ELIQ(query, "x"), "f"
 
 
 def brute_2p2_satisfiable(formula, nvars: Optional[int] = None) -> bool:

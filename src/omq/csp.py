@@ -43,8 +43,7 @@ class Signature:
 
     @staticmethod
     def of_tbox(tbox: TBox) -> "Signature":
-        return Signature(frozenset(tbox.concept_names()),
-                         frozenset(tbox.role_names()))
+        return Signature.of(tbox.concept_names(), tbox.role_names())
 
     def union(self, other: "Signature") -> "Signature":
         return Signature(self.concept_names | other.concept_names,
@@ -52,8 +51,7 @@ class Signature:
 
 
 def sig_of_query_concept(c: Concept) -> Signature:
-    return Signature(frozenset(concept_names(c)),
-                     frozenset(r.name for r in roles_of_concept(c)))
+    return Signature.of(concept_names(c), (r.name for r in roles_of_concept(c)))
 
 
 @dataclass(frozen=True)
@@ -309,10 +307,10 @@ def tbox_from_template(template: Template) -> TemplateEncoding:
             inclusions.add((And(atoms[d], atoms[e]), Bot()))
     # forbidden edges and labels
     for r in sorted(sigma.role_names):
-        edges = structure.successors.get(Role(r), {})
+        edges = structure.role_ext.get(r, ())
         for d in points:
             for e in points:
-                if e not in edges.get(d, ()):
+                if (d, e) not in edges:
                     inclusions.add((And(atoms[d], Exists(Role(r), atoms[e])), Bot()))
     for a in sorted(sigma.concept_names):
         for d in points:

@@ -312,14 +312,11 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
         goal += "_"
     while clash in names:
         clash += "_"
-    bit = {f"t{i}": 1 << i for i in range(len(types))}
+    # numbering position i is type i, so its masks are the type-set masks
+    numbering = structure.numbering
     full = (1 << len(types)) - 1
-
-    def mask(points) -> int:
-        return sum(bit[p] for p in points)
-
-    moves = {role: [mask(structure.successors[role].get(p, ())) for p in bit]
-             for name in roles for role in (Role(name), Role(name, True))}
+    moves = {role: numbering.moves[role] for name in roles
+             for role in (Role(name), Role(name, True))}
     atoms = {}      # (relation, arguments) -> the one DAtom that the rules share
 
     def edge(role: Role, a: str, b: str) -> DAtom:
@@ -341,7 +338,7 @@ def build_rewriting(tbox: TBox, q, max_idbs: int = 4096) -> Program:
     x = ("x",)
     seed_rules = [DRule(rel(full), (DAtom(DOM, x),))]
     for a in concept_names:
-        seed_rules.append(DRule(rel(mask(structure.concept(a))), (DAtom(a, x),)))
+        seed_rules.append(DRule(rel(numbering.concepts[a]), (DAtom(a, x),)))
     inter_rules, prop_rules = [], []
     for k, s in enumerate(family):      # the family grows while it is walked
         for s2 in family[:k]:

@@ -80,21 +80,6 @@ class Interpretation:
         return self.concept_ext.get(name, frozenset())
 
     @cached_property
-    def successors(self) -> dict:
-        """Per role name and its inverse, each element's set of
-        role-successors; an inverse role walks the edges backwards.  Like
-        ``numbering``, built on first use and only read by its callers."""
-        index = {}
-        for name, pairs in self.role_ext.items():
-            forward, backward = {}, {}
-            for a, b in pairs:
-                forward.setdefault(a, set()).add(b)
-                backward.setdefault(b, set()).add(a)
-            for role, moves in ((Role(name), forward), (Role(name, True), backward)):
-                index[role] = {d: frozenset(es) for d, es in moves.items()}
-        return index
-
-    @cached_property
     def numbering(self) -> Numbering:
         """The domain numbered in ``_ekey`` order, with each concept name's
         mask and, per role name and its inverse, each position's mask of

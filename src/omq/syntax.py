@@ -313,10 +313,6 @@ class ABox:
     def role_names(self) -> set[str]:
         return {n for n, _, _ in self.role_assertions}
 
-    def union(self, other: "ABox") -> "ABox":
-        return ABox(self.concept_assertions | other.concept_assertions,
-                    self.role_assertions | other.role_assertions)
-
     def __str__(self):
         return print_abox(self)
 
@@ -611,7 +607,7 @@ def parse_abox(text: str) -> ABox:
             roles.append((m.group("pred"), m.group("a"), m.group("b")))
     if not saw_any:
         raise ParseError("no assertions", 1)
-    return ABox(frozenset(concepts), frozenset(roles))
+    return ABox.of(concepts, roles)
 
 
 def _parse_cq_rule(stmt: str, lineno: int) -> CQ:

@@ -191,11 +191,12 @@ def _types(cl, models: TBox, links, budget: int) -> list:
 
 def _structure(models: TBox, cl, masks, links, budget: int) -> tuple:
     """The type structure of the types ``masks`` over ``cl`` (see
-    ``succ_relation``), and per closure position the mask of the
-    positions in its ``numbering`` whose type holds the member."""
-    # index the types in the numbering's order of their points: t0, t1, t10, ...
-    order = sorted(range(len(masks)), key=str)
-    points, masks = [f"t{i}" for i in order], [masks[i] for i in order]
+    ``succ_relation``), and per closure position the mask of the types
+    holding the member: bit i is type i, which is also position i in the
+    structure's ``numbering``."""
+    # zero-padded names sort in type order: t0 ... t9, or t00 ... t19 for 20 types
+    width = len(str(len(masks) - 1))
+    points = [f"t{i:0{width}d}" for i in range(len(masks))]
     roles = closure_roles(cl)[::2]      # the role names; inverses walk their edges back
     holders, compat = _index(masks, len(cl), links[0], roles)
     if models.functional:
@@ -217,8 +218,8 @@ def _structure(models: TBox, cl, masks, links, budget: int) -> tuple:
 def type_structure(tbox: TBox, cl, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
     """The type structure of all types over the closure ``cl``, a tuple
     in ``concept_sort_key`` order, and per closure position the mask of
-    the positions in the structure's ``numbering`` whose type holds the
-    member."""
+    the types holding the member, over the structure's ``numbering``
+    positions (position i is type i)."""
     links = _links(cl)
     return _structure(tbox, cl, _types(cl, tbox, links, budget), links, budget)
 
@@ -276,12 +277,13 @@ def types_omitting(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
 def succ_relation(tbox: TBox, q, types, budget: int = DEFAULT_NODE_BUDGET) -> Interpretation:
     """The type structure of ``types``, which ``compute_types`` or
     ``types_omitting`` gave for the query: its points are t0, ...,
-    t{n-1}, standing for the types in the given order; every closure
-    concept name has the points whose type holds it, and every closure
-    role name the pairs (t, t') that some model of the TBox realizes at
-    the endpoints of an edge of that role.  Its ``successors`` index walks
-    the inverse roles as well.  It is built from the types read as masks
-    over the query's closure.
+    t{n-1}, standing for the types in the given order and zero-padded to
+    one width (t00 ... t19 for 20 types), so that position i of its
+    ``numbering`` is type i; every closure concept name has the points
+    whose type holds it, and every closure role name the pairs (t, t') that
+    some model of the TBox realizes at the endpoints of an edge of that
+    role.  It is built from the types read as masks over the query's
+    closure.
 
     With functional roles each compatible pair along a role name is
     confirmed by the tableau; its inverse is the same edge read backwards.

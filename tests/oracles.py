@@ -175,6 +175,21 @@ def unravel_abox(abox: ABox, depth: int) -> UnravelingSlice:
 # The reference propagation kernel: candidate sets revised value by value
 # ---------------------------------------------------------------------------
 
+def successor_sets(i: Interpretation) -> dict:
+    """Per role name and its inverse, each element's frozenset of
+    role-successors; an inverse role walks the edges backwards.  The
+    reference's own index, apart from the library's ``numbering``."""
+    index = {}
+    for name, pairs in i.role_ext.items():
+        forward, backward = {}, {}
+        for a, b in pairs:
+            forward.setdefault(a, set()).add(b)
+            backward.setdefault(b, set()).add(a)
+        for role, moves in ((Role(name), forward), (Role(name, True), backward)):
+            index[role] = {d: frozenset(es) for d, es in moves.items()}
+    return index
+
+
 def decode(fixpoint: dict, target: Interpretation) -> dict:
     """A fixpoint of ``semantics.arc_consistency`` over the positions of
     ``target.numbering``, read back as frozensets of target elements."""
@@ -193,9 +208,10 @@ def reference_hom_problem(s: Interpretation, g: Interpretation, preserve=()) -> 
     for d in preserve:
         cand[d] = cand[d] & {d}
     arcs = {d: [] for d in s.domain}
+    index = successor_sets(g)
     for name, pairs in s.role_ext.items():
-        forward = g.successors.get(Role(name), {})
-        backward = g.successors.get(Role(name, True), {})
+        forward = index.get(Role(name), {})
+        backward = index.get(Role(name, True), {})
         for a, b in pairs:
             arcs[a].append((b, forward))
             arcs[b].append((a, backward))
@@ -362,12 +378,12 @@ def reference_successors(types, roles, tbox: TBox) -> frozenset:
 
 
 def structure_triples(types, structure: Interpretation) -> frozenset:
-    """The triples (t, r, t') of a type structure whose point ``t{i}``
-    stands for ``types[i]``, r ranging over its role names and their
-    inverses."""
-    point = {f"t{i}": t for i, t in enumerate(types)}
+    """The triples (t, r, t') of a type structure whose point at position
+    i of its ``numbering`` stands for ``types[i]``, r ranging over its
+    role names and their inverses."""
+    point = dict(zip(structure.numbering.elements, types))
     return frozenset((point[d], role, point[e])
-                     for role, moves in structure.successors.items()
+                     for role, moves in successor_sets(structure).items()
                      for d, es in moves.items() for e in es)
 
 
@@ -396,11 +412,11 @@ def type_structure_answers(tbox: TBox, q, abox: ABox) -> frozenset:
         {n: {(a, b) for m, a, b in abox.role_assertions if m == n}
          for n in structure.role_ext})
     cand = decode(arc_consistency(*hom_problem(data, structure)), structure)
-    whole = Interpretation.from_abox(abox).successors
+    whole = successor_sets(Interpretation.from_abox(abox))
     if not all(cand.values()) or any(len(ys) > 1 for role in tbox.functional
                                      for ys in whole.get(role, {}).values()):
         return frozenset(inds)
-    holds = {f"t{i}" for i, t in enumerate(types) if concept in t}
+    holds = {d for d, t in zip(structure.numbering.elements, types) if concept in t}
     return frozenset(a for a in inds if cand[a] <= holds)
 
 

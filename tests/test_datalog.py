@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from omq.syntax import Atom, ELIQ, Exists, Role, TBox, parse_abox, parse_tbox
+from omq.syntax import ABox, Atom, ELIQ, Exists, Role, TBox, parse_abox, parse_tbox
 from omq.analysis import _is_forest
 from omq.chase import horn_entails_eliq
 from omq.csp import booleanize_eliq, certain_boolean_eliq_csp, template_from_omq
@@ -332,7 +332,8 @@ def test_monotone_for_inequality_free():
                          concepts=("A",), roles=("r",))
         extra = rand_abox(rng, n_individuals=3, n_assertions=3,
                           concepts=("A",), roles=("r",))
-        bigger = abox.union(extra)
+        bigger = ABox(abox.concept_assertions | extra.concept_assertions,
+                      abox.role_assertions | extra.role_assertions)
         assert evaluate(REACHABILITY, abox) <= evaluate(REACHABILITY, bigger)
 
 

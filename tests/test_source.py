@@ -149,17 +149,23 @@ TESTS_ONLY = (
 def _named(tree):
     """How often the tree reads each name: identifiers, attributes,
     imported names, and the dotted parts of string constants (the
-    benchmark names the functions it traces as strings)."""
+    benchmark names the functions it traces as strings); and each
+    ``Class.name``, read as an attribute of a bare name or as two
+    neighbouring parts of a dotted string."""
     found = Counter()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             found[n.id] += 1
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             found[n.attr] += 1
+            if isinstance(n.value, ast.Name):
+                found[f"{n.value.id}.{n.attr}"] += 1
         elif isinstance(n, ast.alias):
             found[n.name.rpartition(".")[2]] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            found.update(p for p in n.value.split(".") if p.isidentifier())
+            parts = [p if p.isidentifier() else None for p in n.value.split(".")]
+            found.update(p for p in parts if p)
+            found.update(f"{a}.{b}" for a, b in zip(parts, parts[1:]) if a and b)
     return found
 
 
@@ -182,7 +188,8 @@ def _public_definitions(tree):
 def test_library_names_have_a_caller_outside_tests():
     # a public name must be read by library code (its own definition
     # aside), by the package's __init__ or by the benchmark scripts;
-    # a method counts as read when any code reads an attribute of its name
+    # an instance method counts as read when any code reads an attribute
+    # of its name, a static or class method only through ``Class.name``
     trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES}
     named = sum((_named(t) for t in trees.values()), Counter())
     for path in BENCH_SCRIPTS:
@@ -190,7 +197,9 @@ def test_library_names_have_a_caller_outside_tests():
     unread = set()
     for tree in trees.values():
         for qualified, node in _public_definitions(tree):
-            name = qualified.rpartition(".")[2]
+            static = any(_callee(d) in ("staticmethod", "classmethod")
+                         for d in getattr(node, "decorator_list", ()))
+            name = qualified if static else qualified.rpartition(".")[2]
             if named[name] <= _named(node)[name]:
                 unread.add(qualified)
     assert sorted(unread - set(TESTS_ONLY)) == [], "only the tests reach these names"

@@ -354,8 +354,10 @@ def assert_structure_agrees(tbox, c0, omit):
     types = types_omitting(tbox, c0) if omit else compute_types(tbox, c0)
     assert types == reference_types(cl, models), (tbox, c0, omit)
     structure = succ_relation(models, c0, types)
-    assert sorted(structure.domain, key=lambda p: int(p[1:])) == [
-        f"t{i}" for i in range(len(types))]
+    # numbering position i is type i, every point named at one width
+    points = structure.numbering.elements
+    assert [int(p[1:]) for p in points] == list(range(len(types)))
+    assert len({len(p) for p in points}) <= 1
     assert set(structure.concept_ext) == {c.name for c in cl if isinstance(c, Atom)}
     assert set(structure.role_ext) == {role.name for role in closure_roles(cl)}
     assert structure_triples(types, structure) == reference_successors(
