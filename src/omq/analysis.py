@@ -13,8 +13,10 @@ union closure and ``classify`` call.  The escape test: T, A does not
 entail C_1(a_1) or ... or C_k(a_k) iff some homomorphism sends A into the
 structure with each a_i on a type lacking C_i (Feder & Vardi 1998),
 searched from one arc-consistent (AC) fixpoint per ABox and structure.
-The tableau re-verifies witnesses and, under functional roles, where type
-structures are not exact, decides the disjunction refuter's facts.
+The tableau re-verifies witnesses and, under functional roles, decides
+the disjunction refuter's facts: the type structure is exact there too,
+but the escape test is not, since data with two r-successors under
+func(r) still maps into the structure.
 
 Unraveling tolerance (Lutz & Wolter, KR 2012): T, A |= C(a) implies
 T, U_A |= C(a), a read as its root copy in the unraveling U_A.  AC cannot
@@ -90,7 +92,7 @@ def _type_structure(tbox: TBox, concepts: tuple, structures: dict) -> tuple:
     found = structures.get(concepts)
     if found is None:
         if tbox.functional:
-            raise ValueError("the type structure decides ALC/ALCI TBoxes only")
+            raise ValueError("the escape test decides ALC/ALCI TBoxes only")
         if None not in structures:
             structures[None] = dict.fromkeys(closure(tbox), 0)
         bit = structures[None]

@@ -830,13 +830,14 @@ def is_depth_one(t: TBox) -> bool:
     return True
 
 
-def _is_horn_l(c: Concept) -> bool:
+def is_eliu_bot(c: Concept) -> bool:
+    """True iff ``c`` is built by the L-grammar (top, bot, names, and, or, some)."""
     if isinstance(c, (Top, Bot, Atom)):
         return True
     if isinstance(c, (And, Or)):
-        return _is_horn_l(c.left) and _is_horn_l(c.right)
+        return is_eliu_bot(c.left) and is_eliu_bot(c.right)
     if isinstance(c, Exists):
-        return _is_horn_l(c.filler)
+        return is_eliu_bot(c.filler)
     return False
 
 
@@ -848,7 +849,7 @@ def _is_horn_r(c: Concept) -> bool:
     if isinstance(c, And):
         return _is_horn_r(c.left) and _is_horn_r(c.right)
     if isinstance(c, Implies):
-        return _is_horn_l(c.left) and _is_horn_r(c.right)
+        return is_eliu_bot(c.left) and _is_horn_r(c.right)
     if isinstance(c, (Exists, Forall)):
         return _is_horn_r(c.filler)
     return False
@@ -856,12 +857,7 @@ def _is_horn_r(c: Concept) -> bool:
 
 def is_horn_alcfi(t: TBox) -> bool:
     """True iff every inclusion is L sub R per the two-level Horn grammar."""
-    return all(_is_horn_l(l) and _is_horn_r(r) for l, r in t.inclusions)
-
-
-def is_eliu_bot(c: Concept) -> bool:
-    """True iff ``c`` is built by the L-grammar (top, bot, names, and, or, some)."""
-    return _is_horn_l(c)
+    return all(is_eliu_bot(l) and _is_horn_r(r) for l, r in t.inclusions)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,18 @@ over a block of sign assignments to the decisions.
 
 One compatibility index serves type elimination and the type structure.
 Along a role r, a type requires the fillers of its ``all r.C`` members
-and the negated fillers of its ``not some r.C`` members; t -> t' is
-compatible along r when t' holds every r-requirement of t and t every
-inverse-r requirement of t'.  The index keeps per closure position the
-bit set of types holding its member and, per role, each type's bit set of
-compatible successors.  Without functionality assertions, type
-elimination is the greatest fixpoint of arc consistency on these bit sets
-and compatibility is the successor relation; with functional roles, the
-tableau confirms each candidate type and each compatible pair instead.
+and the negated fillers of its ``not some r.C`` members; along a
+functional role it also requires what it is obliged to have some
+neighbour hold (``some r.C``, ``not C`` for ``not all r.C``), since its
+one neighbour must witness all of it.  t -> t' is compatible along r
+when t' holds every r-requirement of t and t every inverse-r requirement
+of t'.  The index keeps per closure position the bit set of types holding
+its member and, per role, each type's bit set of compatible successors.
+Type elimination (Pratt 1979) is the greatest fixpoint of arc consistency
+on these bit sets, and compatibility is the successor relation.  Both are
+exact for ALCFI by its tree-model property: from the surviving types a
+tree model is unravelled in which a node gets a fresh r-child only when
+its parent is not already its r-neighbour.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from __future__ import annotations
 from .semantics import Interpretation, arc_consistency
 from .syntax import (
     ABox, And, Atom, Concept, ELIQ, ELQ, Exists, Forall, Implies, Not, Or,
-    Role, TBox, Top, concept_sort_key, conjoin, subconcepts,
+    Role, TBox, Top, concept_sort_key, subconcepts,
 )
-from .tableau import BudgetExceededError, DEFAULT_NODE_BUDGET, abox_consistent, satisfiable
+from .tableau import BudgetExceededError, DEFAULT_NODE_BUDGET, abox_consistent
 
 MAX_TYPE_DECISIONS = 20
 BLOCK_DECISIONS = 12        # truth tables of 2^12 bits: 512 bytes per int
@@ -123,18 +127,23 @@ def _candidates(models: TBox, cl) -> list:
 # The compatibility index
 # ---------------------------------------------------------------------------
 
-def _links(cl) -> tuple:
+def _links(cl, functional) -> tuple:
     """``(requirements, obligations)`` of the closure as ``(role, filler
     position, member position)`` triples: what every neighbour along the
     role must hold (``all r.C``, and ``not C`` for ``not some r.C``), and
-    what some neighbour must hold (``some r.C``, ``not C`` for ``not all r.C``)."""
+    what some neighbour must hold (``some r.C``, ``not C`` for ``not all r.C``).
+    Along a role of ``functional`` an obligation is a requirement too."""
     position = {c: p for p, c in enumerate(cl)}
     links = [], []
     for p, c in enumerate(cl):
         r = c.sub if isinstance(c, Not) else c
         if isinstance(r, (Exists, Forall)):
             filler = r.filler if r is c else _negate(r.filler)
-            links[isinstance(r, Forall) != (r is c)].append((r.role, position[filler], p))
+            link = r.role, position[filler], p
+            obliged = isinstance(r, Forall) != (r is c)
+            links[obliged].append(link)
+            if obliged and r.role in functional:
+                links[0].append(link)
     return links
 
 
@@ -159,21 +168,16 @@ def _index(masks, size: int, requirements, roles) -> tuple:
     return holders, compat
 
 
-def _types(cl, models: TBox, links, budget: int) -> list:
+def _types(cl, models: TBox, links) -> list:
     """The masks of the types over the closure ``cl`` that some model of
-    ``models`` realizes, in canonical order.
-
-    Without functional roles this is type elimination: one variable over
-    the candidates and one self-arc per obligation (role, filler), a
-    positive existential or a negated universal of some type.  The arc's
-    row for a type j is the mask of the types it supports: every type
-    without the obligation and, when j holds the filler, the types with
-    it that are compatible with j along the role.
+    ``models`` realizes, in canonical order, by type elimination: one
+    variable over the candidates and one self-arc per obligation (role,
+    filler), a positive existential or a negated universal of some type.
+    The arc's row for a type j is the mask of the types it supports: every
+    type without the obligation and, when j holds the filler, the types
+    with it that are compatible with j along the role.
     """
     candidates = _candidates(models, cl)
-    if models.functional:
-        return [t for t in candidates
-                if satisfiable(conjoin(cl[p] for p in _bits(t)), models, budget)]
     requirements, obligations = links
     holders, compat = _index(candidates, len(cl), requirements, closure_roles(cl))
     having = {}         # obligation -> bit set of the types having it
@@ -189,7 +193,7 @@ def _types(cl, models: TBox, links, budget: int) -> list:
     return [candidates[i] for i in _bits(alive[0])]
 
 
-def _structure(models: TBox, cl, masks, links, budget: int) -> tuple:
+def _structure(cl, masks, links) -> tuple:
     """The type structure of the types ``masks`` over ``cl`` (see
     ``succ_relation``), and per closure position the mask of the types
     holding the member: bit i is type i, which is also position i in the
@@ -199,14 +203,6 @@ def _structure(models: TBox, cl, masks, links, budget: int) -> tuple:
     points = [f"t{i:0{width}d}" for i in range(len(masks))]
     roles = closure_roles(cl)[::2]      # the role names; inverses walk their edges back
     holders, compat = _index(masks, len(cl), links[0], roles)
-    if models.functional:
-        conj = [conjoin(cl[p] for p in _bits(t)) for t in masks]
-        for role in roles:
-            row = compat[role]
-            for i, ok in enumerate(row):
-                for j in _bits(ok):
-                    if not satisfiable(And(conj[i], Exists(role, conj[j])), models, budget):
-                        row[i] &= ~(1 << j)
     cext = {c.name: frozenset(points[i] for i in _bits(holders[p]))
             for p, c in enumerate(cl) if isinstance(c, Atom)}
     rext = {role.name: frozenset((points[i], points[j]) for i, ok in enumerate(compat[role])
@@ -215,13 +211,13 @@ def _structure(models: TBox, cl, masks, links, budget: int) -> tuple:
     return Interpretation(frozenset(points), frozenset(), cext, rext), holders
 
 
-def type_structure(tbox: TBox, cl, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
+def type_structure(tbox: TBox, cl) -> tuple:
     """The type structure of all types over the closure ``cl``, a tuple
     in ``concept_sort_key`` order, and per closure position the mask of
     the types holding the member, over the structure's ``numbering``
     positions (position i is type i)."""
-    links = _links(cl)
-    return _structure(tbox, cl, _types(cl, tbox, links, budget), links, budget)
+    links = _links(cl, tbox.functional)
+    return _structure(cl, _types(cl, tbox, links), links)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +252,14 @@ def _decoded(cl, masks) -> tuple:
     return tuple(frozenset(cl[p] for p in _bits(t)) for t in masks)
 
 
-def compute_types(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
+def compute_types(tbox: TBox, q) -> tuple:
     """All types, in canonical order: maximal Boolean-coherent subsets of
-    the closure whose conjunction is satisfiable w.r.t. the TBox."""
+    the closure that some model of the TBox realizes at an element."""
     cl = closure(tbox, q.concept if isinstance(q, (ELIQ, ELQ)) else q)
-    return _decoded(cl, _types(cl, tbox, _links(cl), budget))
+    return _decoded(cl, _types(cl, tbox, _links(cl, tbox.functional)))
 
 
-def types_omitting(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
+def types_omitting(tbox: TBox, q) -> tuple:
     """Types satisfiable in a model of the TBox whose extension of the
     query concept is empty, in canonical order; the Boolean query
     ``exists x C(x)`` omits exactly when every element avoids C.  The
@@ -271,10 +267,10 @@ def types_omitting(tbox: TBox, q, budget: int = DEFAULT_NODE_BUDGET) -> tuple:
     every candidate holding C."""
     c0 = q.concept if isinstance(q, (ELIQ, ELQ)) else q
     cl = closure(tbox, c0)
-    return _decoded(cl, _types(cl, omitting_tbox(tbox, c0), _links(cl), budget))
+    return _decoded(cl, _types(cl, omitting_tbox(tbox, c0), _links(cl, tbox.functional)))
 
 
-def succ_relation(tbox: TBox, q, types, budget: int = DEFAULT_NODE_BUDGET) -> Interpretation:
+def succ_relation(tbox: TBox, q, types) -> Interpretation:
     """The type structure of ``types``, which ``compute_types`` or
     ``types_omitting`` gave for the query: its points are t0, ...,
     t{n-1}, standing for the types in the given order and zero-padded to
@@ -282,13 +278,10 @@ def succ_relation(tbox: TBox, q, types, budget: int = DEFAULT_NODE_BUDGET) -> In
     ``numbering`` is type i; every closure concept name has the points
     whose type holds it, and every closure role name the pairs (t, t') that
     some model of the TBox realizes at the endpoints of an edge of that
-    role.  It is built from the types read as masks over the query's
-    closure.
-
-    With functional roles each compatible pair along a role name is
-    confirmed by the tableau; its inverse is the same edge read backwards.
+    role, read off the compatibility index over the query's closure.  An
+    inverse role is the same edge read backwards.
     """
     cl = closure(tbox, q.concept if isinstance(q, (ELIQ, ELQ)) else q)
     position = {c: p for p, c in enumerate(cl)}
     masks = [sum(1 << position[c] for c in t) for t in types]
-    return _structure(tbox, cl, masks, _links(cl), budget)[0]
+    return _structure(cl, masks, _links(cl, tbox.functional))[0]

@@ -475,23 +475,27 @@ def test_rewriting_rejects_the_reserved_name_dom(tbox, query):
 
 
 def test_rewriting_agrees_with_chase_on_random_horn_tboxes():
-    rng = random.Random(69)
+    # Horn-ALCI TBoxes, then Horn-ALCFI ones with one functional role
     queries = [A, Atom("B"), Exists(r, A), Exists(Role("r", True), Atom("B"))]
-    outcomes = {True: 0, False: 0}
-    for _ in range(60):
-        t = rand_horn_tbox(rng, n_inclusions=3, depth=2, concepts=("A", "B"),
-                           roles=("r",), allow_inverse=True)
-        q = ELIQ(rng.choice(queries), "x")
-        p = build_rewriting(t, q)
-        for _k in range(6):
-            abox = rand_abox(rng, n_individuals=4, n_assertions=6,
-                             concepts=("A", "B"), roles=("r",))
-            answers = {a for (a,) in evaluate(p, abox)}
-            for a in sorted(abox.individuals()):
-                truth = horn_entails_eliq(t, abox, q, a)
-                assert (a in answers) == truth, (t, abox, a)
-                outcomes[truth] += 1
-    assert min(outcomes.values()) > 200
+    for seed, functional in ((69, ()), (70, (r, r.inverse()))):
+        rng = random.Random(seed)
+        outcomes = {True: 0, False: 0}
+        for _ in range(60):
+            t = rand_horn_tbox(rng, n_inclusions=3, depth=2, concepts=("A", "B"),
+                               roles=("r",), allow_inverse=True)
+            if functional:
+                t = TBox(t.inclusions, frozenset({rng.choice(functional)}))
+            q = ELIQ(rng.choice(queries), "x")
+            p = build_rewriting(t, q)
+            for _k in range(6):
+                abox = rand_abox(rng, n_individuals=4, n_assertions=6,
+                                 concepts=("A", "B"), roles=("r",))
+                answers = {a for (a,) in evaluate(p, abox)}
+                for a in sorted(abox.individuals()):
+                    truth = horn_entails_eliq(t, abox, q, a)
+                    assert (a in answers) == truth, (t, abox, a)
+                    outcomes[truth] += 1
+        assert min(outcomes.values()) > 200, outcomes
 
 
 def test_rewriting_agrees_with_csp_on_random_alc_alci_tboxes():

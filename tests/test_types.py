@@ -11,7 +11,8 @@ from omq.semantics import Interpretation, eval_concept, is_model
 from omq import types as types_module
 from omq.types import (
     BLOCK_DECISIONS, _candidates, closure, closure_roles, compute_types, entails_eliq,
-    entails_eliq_disjunction, omitting_tbox, succ_relation, types_omitting,
+    entails_eliq_disjunction, omitting_tbox, succ_relation, type_structure,
+    types_omitting,
 )
 from omq.tableau import BudgetExceededError, abox_consistent, nnf, satisfiable
 
@@ -180,15 +181,6 @@ def test_types_forced_membership():
     assert len(types) == 1
 
 
-def test_compute_types_budget_holds_after_an_earlier_call():
-    # the budget bounds every call, whatever ran earlier in the process
-    t = parse_tbox("func(r)\nA sub some r.B\nB sub some r.A")
-    c = Exists(r, A)
-    assert len(compute_types(t, c)) == 9
-    with pytest.raises(BudgetExceededError):
-        compute_types(t, c, budget=1)
-
-
 def test_types_boolean_coherence():
     t = parse_tbox("A and B sub some r.A")
     types = compute_types(t, ELIQ(And(A, B), "x"))
@@ -224,21 +216,19 @@ def test_types_model_soundness_random():
 
 
 def test_types_match_tableau_route():
-    # elimination fast path agrees with the tableau on functionality-free
-    # inputs: force the tableau route by adding an unused functional role
+    # type elimination agrees with the tableau reference on functional
+    # TBoxes: here an unused functional role on top of the random inclusions
     rng = random.Random(31)
-    from omq.syntax import conjoin, concept_sort_key
     for _ in range(40):
         t = rand_tbox(rng, n_inclusions=2, depth=1, concepts=("A", "B"),
                       roles=("r",), allow_inverse=True)
         q = ELIQ(A, "x")
+        t_func = TBox(t.inclusions, frozenset({Role("zz_unused")}))
         try:
-            fast = compute_types(t, q)
+            types = compute_types(t_func, q)
         except BudgetExceededError:
             continue
-        t_func = TBox(t.inclusions, frozenset({Role("zz_unused")}))
-        slow = compute_types(t_func, q)
-        assert fast == slow
+        assert types == reference_types(closure(t, A), t_func)
 
 
 def chain_tbox(k):
@@ -332,16 +322,37 @@ def test_succ_inversion_symmetry():
             assert (t2, role.inverse(), t1) in succ
 
 
-def test_succ_tableau_route_with_functionality():
+def test_succ_functional_edge_reaches_the_unique_witness():
     t = parse_tbox("func(r)\nA sub some r.B\nB sub not A")
     q = ELIQ(A, "x")
     types = compute_types(t, q)
     succ = structure_triples(types, succ_relation(t, q, types))
     # a functional r-edge from an A-element must reach its unique witness,
     # which must then be a B-element
+    assert any(role == r and A in t1 for (t1, role, t2) in succ)
     for (t1, role, t2) in succ:
         if role == r and A in t1:
             assert B in t2
+
+
+@pytest.mark.parametrize("tbox, query", [
+    ("func(inv(r))\nA sub some r.B\nB sub some r.A\nsome r.C sub C", "some r.C"),
+    ("func(r)\nA sub some r.B\nB sub not A", "A"),
+], ids=["alcfi_r", "func_r"])
+def test_functional_type_structures_run_no_tableau(monkeypatch, tbox, query):
+    import omq.tableau
+
+    class NoTableau:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the type layer ran the tableau")
+
+    monkeypatch.setattr(omq.tableau, "_Tableau", NoTableau)
+    t, c = parse_tbox(tbox), parse_concept(query)
+    types = compute_types(t, c)
+    assert types and types_omitting(t, c)
+    assert succ_relation(t, c, types).domain
+    structure, holders = type_structure(t, closure(t, c))
+    assert len(structure.domain) == len(types) and len(holders) == len(closure(t, c))
 
 
 # -- the type structure against the pairwise reference ------------------------
